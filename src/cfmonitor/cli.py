@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -74,13 +75,15 @@ def _load_scenario(args):
         scenario = scenario_from_config(parse_config_file(args.config))
     else:
         scenario = default_scenario()
+    overrides = {}
     if getattr(args, "seed", None) is not None:
-        scenario.seed = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "no_strategy", False):
-        scenario.strategy_enabled = False
+        overrides["strategy_enabled"] = False
     if getattr(args, "window", None) is not None:
-        scenario.window_length = args.window
-    return scenario
+        overrides["window_length"] = args.window
+    # replace() re-runs ScenarioConfig's validation on the overridden values
+    return replace(scenario, **overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -132,10 +135,7 @@ def _cmd_estimate(args) -> int:
     else:
         hyper, prior = SgldHyper(), GaussianPrior((1.0, 0.3), 10.0)
     batch = batch_from_series(accel, demand, t_s, t_start=t0)
-    est = sgld_run(batch, prior, SgldHyper(**{
-        **{f: getattr(hyper, f) for f in hyper.__dataclass_fields__},
-        "seed": args.seed,
-    }))
+    est = sgld_run(batch, prior, replace(hyper, seed=args.seed))
     payload = json.dumps({
         "posterior_mean": {"K_L": est.K_L, "T_L": est.T_L},
         "covariance": est.covariance.tolist(),

@@ -62,6 +62,16 @@ def _pop_int(values: dict, key: str, default: int) -> int:
         raise ConfigError(f"{key}: expected an integer, got {v!r}") from None
 
 
+def _pop_bool(values: dict, key: str, default: bool) -> bool:
+    v = values.pop(key, default)
+    text = str(v).lower()  # JSON true and 1 arrive as bool and int
+    if text in ("true", "yes", "1"):
+        return True
+    if text in ("false", "no", "0"):
+        return False
+    raise ConfigError(f"{key}: expected true/false/yes/no/1/0, got {v!r}")
+
+
 def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
     """Build a scenario from parsed key/value pairs; unknown keys are
     rejected so typos fail loudly."""
@@ -161,7 +171,7 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
             prior_variance=_pop_float(values, "prior.variance", base.prior_variance),
             rolling_lambda=_pop_float(values, "prior.rolling_lambda",
                                       base.rolling_lambda),
-            strategy_enabled=bool(values.pop("monitor.enabled", True)),
+            strategy_enabled=_pop_bool(values, "monitor.enabled", True),
             seed=_pop_int(values, "seed", base.seed),
         )
     except ValueError as exc:

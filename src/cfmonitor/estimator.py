@@ -22,7 +22,6 @@ __all__ = [
     "model_jerk",
     "log_posterior",
     "grad_log_posterior",
-    "sgld_gradient",
     "sgld_run",
     "posterior_summary",
     "update_prior",
@@ -30,6 +29,11 @@ __all__ = [
 ]
 
 # parameter vector ordering is (K_L, T_L) throughout
+
+# Iterations per bulk draw of minibatch indices and Langevin noise.  Drawing
+# a whole chain at once would hold a (K_iters, minibatch_n, 5) gather, so
+# memory would grow with K_iters; fixed blocks keep it flat.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,11 @@ class GaussianPrior:
         return -d / self.variance
 
 
+class _DefaultBurnIn(int):
+    """A burn-in derived from ``K_iters`` rather than given, so that
+    ``dataclasses.replace(hyper, K_iters=...)`` derives it again."""
+
+
 @dataclass(frozen=True)
 class SgldHyper:
     """Sampler settings.  Step size decays as eta_1/k; iterates after
@@ -112,8 +121,9 @@ class SgldHyper:
     max_drift: float = 0.1
 
     def __post_init__(self):
-        if self.burn_in_c is None:
-            object.__setattr__(self, "burn_in_c", int(0.6 * self.K_iters))
+        if self.burn_in_c is None or isinstance(self.burn_in_c, _DefaultBurnIn):
+            object.__setattr__(self, "burn_in_c",
+                               _DefaultBurnIn(int(0.6 * self.K_iters)))
         if self.eta_1 <= 0:
             raise ValueError("eta_1 must be positive")
         if not 0 < self.burn_in_c < self.K_iters:
@@ -167,6 +177,25 @@ def log_posterior(
     return prior.log_density(theta) + loglik
 
 
+def _products(batch: ObservationBatch) -> np.ndarray:
+    """Per-sample products (ju, uu, au, ja, aa), shape (n, 5).  The model
+    jerk ``(K_L u - a)/T_L`` is linear in ``(K_L/T_L, 1/T_L)``, so sums of
+    these five columns give the exact likelihood gradient of any subset of
+    the samples."""
+    a, u, j = batch.accel, batch.demand, batch.jerk
+    return np.column_stack([j * u, u * u, a * u, j * a, a * a])
+
+
+def _lik_grad(K_L, T_L, s_ju, s_uu, s_au, s_ja, s_aa) -> tuple[float, float]:
+    """Gradient in (K_L, T_L) of the log likelihood from the five product
+    sums, each already divided by sigma_sq and scaled to the full batch."""
+    alpha, beta = K_L / T_L, 1.0 / T_L
+    # d/d(alpha) and d/d(beta) of -sum(r^2)/2 with r = j - alpha u + beta a
+    g_alpha = s_ju - alpha * s_uu + beta * s_au
+    g_beta = alpha * s_au - s_ja - beta * s_aa
+    return g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
+
+
 def grad_log_posterior(
     batch: ObservationBatch,
     theta,
@@ -182,34 +211,28 @@ def grad_log_posterior(
     K_L, T_L = theta
     if T_L <= 0:
         raise ValueError("T_L must be positive")
-    a, u = batch.accel, batch.demand
-    r = batch.jerk - (K_L * u - a) / T_L
-    g_K = float(r @ (u / T_L)) / sigma_sq
-    g_T = float(r @ ((a - K_L * u) / T_L**2)) / sigma_sq
     scale = 1.0 if n_total is None else n_total / len(batch)
-    return prior.grad_log_density(theta) + scale * np.array([g_K, g_T])
+    sums = _products(batch).sum(axis=0) * (scale / sigma_sq)
+    return prior.grad_log_density(theta) + np.array(
+        _lik_grad(K_L, T_L, *sums.tolist()))
 
 
-def sgld_gradient(
-    minibatch: ObservationBatch,
-    theta,
-    prior: GaussianPrior,
-    hyper: SgldHyper,
-    n_total: int,
-    eta_t: float,
-    noise: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Langevin increment: half-step-scaled stochastic gradient of the
-    log posterior plus injected N(0, eta_t I) noise.
+def _draw_minibatches(rng: np.random.Generator, n: int, k: int,
+                      count: int) -> np.ndarray:
+    """``count`` independent uniform k-subsets of range(n), one per column
+    of the (k, count) result.
 
-    Returns (increment, noise); pass ``noise`` explicitly for testing.
+    Floyd's algorithm, vectorised over subsets: row c draws t uniformly
+    from [0, n - k + c] and takes n - k + c instead where t is already
+    among rows 0..c-1.  Memory is k x count, independent of n.
     """
-    if len(minibatch) > n_total:
-        raise ValueError("minibatch larger than the full batch")
-    g = grad_log_posterior(minibatch, theta, prior, hyper.sigma_sq, n_total)
-    if noise is None:
-        noise = math.sqrt(eta_t) * np.random.default_rng(hyper.seed).standard_normal(2)
-    return 0.5 * eta_t * g + noise, noise
+    # floor(U * m) with a 53-bit U is uniform on range(m) to within m/2**53
+    draws = (rng.random((k, count))
+             * np.arange(n - k + 1, n + 1)[:, None]).astype(np.intp)
+    for c in range(1, k):
+        row = draws[c]
+        row[(draws[:c] == row).any(axis=0)] = n - k + c
+    return draws
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -241,47 +264,59 @@ def sgld_run(
     the log-volume term is included so retained samples follow the
     (K_L, T_L) posterior itself).  ``fix_lag`` freezes T_L at the given
     value and samples K_L only.  Deterministic given ``hyper.seed``.
+
+    Minibatch gradients come from sums of the pre-scaled ``_products``;
+    indices and noise are drawn ``_BLOCK`` iterations at a time, and the
+    chain itself steps on plain floats.
     """
     rng = np.random.default_rng(hyper.seed)
     n_total = len(batch)
     n_mb = min(hyper.minibatch_n, n_total)
+    products = _products(batch) * (n_total / (n_mb * hyper.sigma_sq))
+    full_sums = products.sum(axis=0).tolist() if n_mb == n_total else None
 
-    mean = np.asarray(prior.mean, dtype=float)
-    theta0 = np.where(mean > 0, mean, np.array([1.0, 0.3]))
+    m_K, m_T = (float(m) for m in prior.mean)
+    var = prior.variance
+    K = m_K if m_K > 0 else 1.0
+    T = m_T if m_T > 0 else 0.3
     if fix_lag is not None:
         if fix_lag <= 0:
             raise ValueError("fix_lag must be positive")
-        theta0 = np.array([theta0[0], fix_lag])
-    phi = np.log(theta0)
+        T = float(fix_lag)
+    free_T = fix_lag is None
+    phi_K, phi_T = math.log(K), math.log(T)
 
-    n_keep = hyper.K_iters - hyper.burn_in_c
-    samples = np.empty((n_keep, 2))
-    kept = 0
-    for k in range(1, hyper.K_iters + 1):
-        eta_k = hyper.eta_1 / k
-        idx = rng.choice(n_total, size=n_mb, replace=False)
-        a, u, j = batch.accel[idx], batch.demand[idx], batch.jerk[idx]
-        theta = np.exp(phi)
-        K_L, T_L = theta
-        r = j - (K_L * u - a) / T_L
-        g_lik = np.array([float(r @ (u / T_L)),
-                          float(r @ ((a - K_L * u) / T_L**2))]) / hyper.sigma_sq
-        g = prior.grad_log_density(theta) + (n_total / n_mb) * g_lik
-        # chain rule to log space plus the log-volume term of the transform
-        g_phi = theta * g + 1.0
-        if fix_lag is not None:
-            g_phi[1] = 0.0
-        drift = 0.5 * eta_k * g_phi
-        norm = float(np.linalg.norm(drift))
-        if norm > hyper.max_drift:
-            drift *= hyper.max_drift / norm
-        noise = math.sqrt(eta_k) * rng.standard_normal(2)
-        if fix_lag is not None:
-            noise[1] = 0.0
-        phi = phi + drift + noise
-        if k > hyper.burn_in_c:
-            samples[kept] = np.exp(phi)
-            kept += 1
+    burn, max_drift = hyper.burn_in_c, hyper.max_drift
+    samples = np.empty((hyper.K_iters - burn, 2))
+    for start in range(0, hyper.K_iters, _BLOCK):
+        stop = min(start + _BLOCK, hyper.K_iters)
+        etas = hyper.eta_1 / np.arange(start + 1, stop + 1)
+        if full_sums is None:
+            draws = _draw_minibatches(rng, n_total, n_mb, stop - start)
+            sums = products[draws].sum(axis=0).tolist()
+        else:
+            sums = [full_sums] * (stop - start)
+        noise = (rng.standard_normal((stop - start, 2))
+                 * np.sqrt(etas)[:, None]).tolist()
+        chain = []
+        for eta, s, (z_K, z_T) in zip(etas.tolist(), sums, noise):
+            g_K, g_T = _lik_grad(K, T, *s)
+            # chain rule to log space plus the log-volume term of the transform
+            d_K = 0.5 * eta * (K * ((m_K - K) / var + g_K) + 1.0)
+            d_T = 0.5 * eta * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
+            norm = math.hypot(d_K, d_T)
+            if norm > max_drift:
+                d_K *= max_drift / norm
+                d_T *= max_drift / norm
+            phi_K += d_K + z_K
+            K = math.exp(phi_K)
+            if free_T:
+                phi_T += d_T + z_T
+                T = math.exp(phi_T)
+            chain.append((K, T))
+        lo = max(start, burn)
+        if lo < stop:
+            samples[lo - burn:stop - burn] = chain[lo - start:]
 
     est = posterior_summary(samples)
     est.low_confidence = fix_lag is None and not _identifiability(batch)

@@ -67,6 +67,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             scenario_from_config({"controller.t_s": -0.01})
 
+    def test_explicit_burn_in_still_validated(self):
+        with pytest.raises(ConfigError, match="burn_in_c"):
+            scenario_from_config({"sgld.K_iters": 100, "sgld.burn_in_c": 100})
+
+    @pytest.mark.parametrize("text,expected", [
+        ("true", True), ("false", False), ("yes", True), ("no", False),
+        ("1", True), ("0", False), ("No", False),
+    ])
+    def test_enabled_flag_words(self, tmp_path, text, expected):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"monitor.enabled = {text}\n")
+        sc = scenario_from_config(parse_config_file(path))
+        assert sc.strategy_enabled is expected
+
 
 class TestCliStability:
     def test_verdict_json(self, capsys):
@@ -153,6 +167,19 @@ class TestCliSimulate:
     def test_bad_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("nonsense.key = 1\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("window", ["0", "0.015"])
+    def test_invalid_window_is_config_error(self, tmp_path, window):
+        # 0.015 s is not a whole number of 0.01 s controller steps
+        assert main(["simulate", "--window", window,
+                     "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("text", ["maybe", "2"])
+    def test_bad_enabled_flag_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"monitor.enabled = {text}\n")
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
 

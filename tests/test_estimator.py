@@ -1,10 +1,16 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfmonitor.estimator import (
+    _BLOCK,
+    _draw_minibatches,
+    _lik_grad,
+    _products,
     GaussianPrior,
     ObservationBatch,
     SgldHyper,
@@ -13,7 +19,6 @@ from cfmonitor.estimator import (
     log_posterior,
     model_jerk,
     posterior_summary,
-    sgld_gradient,
     sgld_run,
     update_prior,
 )
@@ -41,6 +46,41 @@ def synthetic_batch(K_L, T_L, n=500, t_s=0.01, sigma_eps=0.05, seed=0,
         jerk = (K_L * u[i] - a) / T_L + sigma_eps * rng.standard_normal()
         a += t_s * jerk
     return batch_from_series(accel, u, t_s)
+
+
+def reference_steps(batch, prior, hyper, samples, fix_lag=None):
+    """One-step predictions of samples[1:] from samples[:-1]: the sampler's
+    update on numpy vectors with the public gradient, using the draws that
+    sgld_run takes from the same stream (per block of _BLOCK iterations,
+    first the minibatch indices, then the noise).  Stepping from the
+    sampler's own previous state keeps round-off from compounding: large
+    steps on a sharp posterior make the chain sensitive to its last bits."""
+    rng = np.random.default_rng(hyper.seed)
+    n = len(batch)
+    n_mb = min(hyper.minibatch_n, n)
+    idx, z = [], []
+    for start in range(0, hyper.K_iters, _BLOCK):
+        m = min(_BLOCK, hyper.K_iters - start)
+        idx += (list(_draw_minibatches(rng, n, n_mb, m).T) if n_mb < n
+                else [np.arange(n)] * m)
+        z += list(rng.standard_normal((m, 2)))
+    predicted = []
+    for s, theta in enumerate(samples[:-1]):
+        t = hyper.burn_in_c + s + 1  # 0-based iteration that yields samples[s + 1]
+        eta = hyper.eta_1 / (t + 1)
+        mb = ObservationBatch(batch.accel[idx[t]], batch.demand[idx[t]],
+                              batch.jerk[idx[t]])
+        g_phi = theta * grad_log_posterior(mb, theta, prior, hyper.sigma_sq,
+                                           n_total=n) + 1.0
+        noise = math.sqrt(eta) * z[t]
+        if fix_lag is not None:
+            g_phi[1] = noise[1] = 0.0
+        drift = 0.5 * eta * g_phi
+        norm = float(np.linalg.norm(drift))
+        if norm > hyper.max_drift:
+            drift *= hyper.max_drift / norm
+        predicted.append(theta * np.exp(drift + noise))
+    return np.array(predicted)
 
 
 class TestObservationBatch:
@@ -125,9 +165,8 @@ class TestGradients:
         jerk = (theta[0] * u - a) / theta[1]
         batch = ObservationBatch(a, u, jerk)
         prior = GaussianPrior(theta, 1.0)
-        inc, noise = sgld_gradient(batch, theta, prior, SgldHyper(), 2,
-                                   eta_t=0.01, noise=np.zeros(2))
-        assert inc == pytest.approx(np.zeros(2), abs=1e-12)
+        g = grad_log_posterior(batch, theta, prior, 0.01, n_total=2)
+        assert g == pytest.approx(np.zeros(2), abs=1e-12)
 
     def test_full_batch_scaling_is_identity(self):
         batch = synthetic_batch(1.0, 0.3, n=50)
@@ -137,11 +176,67 @@ class TestGradients:
         g_plain = grad_log_posterior(batch, theta, WIDE_PRIOR, 0.01)
         assert g_scaled == pytest.approx(g_plain)
 
-    def test_minibatch_larger_than_total_rejected(self):
-        batch = synthetic_batch(1.0, 0.3, n=50)
-        with pytest.raises(ValueError):
-            sgld_gradient(batch, (1.0, 0.3), WIDE_PRIOR, SgldHyper(), 10,
-                          eta_t=0.01)
+    @given(
+        n=st.integers(2, 60), data=st.data(),
+        K_L=st.floats(0.3, 2.0), T_L=st.floats(0.1, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_minibatch_sums_match_gathered_subset(self, n, data, K_L, T_L, seed):
+        k = data.draw(st.integers(2, n), label="k")  # a batch holds >= 2
+        rng = np.random.default_rng(seed)
+        a, u, j = rng.standard_normal((3, n))
+        idx = _draw_minibatches(rng, n, k, 1)[:, 0]
+        sigma_sq = 0.01
+        # the sampler's path: pre-scaled per-sample products, gathered and summed
+        products = _products(ObservationBatch(a, u, j)) * (n / (k * sigma_sq))
+        g_lik = np.array(_lik_grad(K_L, T_L, *products[idx].sum(axis=0)))
+        kernel = WIDE_PRIOR.grad_log_density((K_L, T_L)) + g_lik
+        direct = grad_log_posterior(ObservationBatch(a[idx], u[idx], j[idx]),
+                                    (K_L, T_L), WIDE_PRIOR, sigma_sq, n_total=n)
+        # residual form, independent of the five-sum algebra
+        r = j[idx] - (K_L * u[idx] - a[idx]) / T_L
+        g_ref = (n / k) / sigma_sq * np.array([
+            r @ u[idx] / T_L, r @ (a[idx] - K_L * u[idx]) / T_L**2])
+        reference = WIDE_PRIOR.grad_log_density((K_L, T_L)) + g_ref
+        # the expanded sums cancel; bound the rounding by the terms' size
+        size = (n / (k * sigma_sq)) * float(
+            (np.abs(j) + np.abs(u) + np.abs(a))[idx] @ (np.abs(u) + np.abs(a))[idx]
+        ) * (1 + K_L) ** 2 / min(T_L, 1.0) ** 3
+        assert kernel == pytest.approx(direct, rel=1e-9, abs=1e-12 * size)
+        assert kernel == pytest.approx(reference, rel=1e-9, abs=1e-12 * size)
+
+
+class TestMinibatchDraws:
+    @pytest.mark.parametrize("n,k", [(1, 1), (7, 7), (50, 1), (50, 8), (40, 32)])
+    def test_distinct_in_range(self, n, k):
+        draws = _draw_minibatches(np.random.default_rng(0), n, k, 300)
+        assert draws.shape == (k, 300)
+        assert draws.min() >= 0 and draws.max() < n
+        assert all(len(set(col)) == k for col in draws.T.tolist())
+
+    @pytest.mark.parametrize("n,k", [(50, 8), (40, 32)])
+    def test_inclusion_frequency_chi_square(self, n, k):
+        count = 20_000
+        draws = _draw_minibatches(np.random.default_rng(1), n, k, count)
+        hits = np.bincount(draws.ravel(), minlength=n)
+        p = k / n
+        # a uniform k-subset's inclusion indicators have variance p(1-p)
+        # and correlation -1/(n-1); scaled so, the statistic is chi^2(n-1)
+        stat = float(((hits - count * p) ** 2).sum()
+                     / (count * p * (1 - p) * n / (n - 1)))
+        # upper 0.1 % points of chi^2 with 49 and 39 degrees of freedom
+        assert stat < {50: 85.35, 40: 72.05}[n]
+
+    def test_every_subset_equally_likely(self):
+        count = 20_000
+        draws = _draw_minibatches(np.random.default_rng(2), 5, 2, count)
+        lo, hi = np.sort(draws, axis=0)
+        pairs = np.array([5 * i + m for i in range(5) for m in range(i + 1, 5)])
+        counts = np.bincount(5 * lo + hi, minlength=25)[pairs]
+        e = count / len(pairs)
+        # upper 0.1 % point of chi^2 with 9 degrees of freedom
+        assert float(((counts - e) ** 2).sum() / e) < 27.88
 
 
 class TestSgldHyper:
@@ -160,6 +255,13 @@ class TestSgldHyper:
     def test_default_burn_in_is_sixty_percent(self):
         h = SgldHyper(K_iters=1000)
         assert h.burn_in_c == 600
+
+    def test_replace_rederives_default_burn_in(self):
+        assert replace(SgldHyper(), K_iters=1000).burn_in_c == 600
+        explicit = SgldHyper(K_iters=1000, burn_in_c=900)
+        assert replace(explicit, seed=3).burn_in_c == 900
+        with pytest.raises(ValueError):
+            replace(explicit, K_iters=500)
 
 
 class TestSgldRun:
@@ -219,6 +321,31 @@ class TestSgldRun:
         batch = batch_from_series(accel, demand, 0.01)
         est = sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=0))
         assert est.low_confidence
+
+    @pytest.mark.parametrize("minibatch_n,fix_lag", [
+        (32, None), (32, 0.3), (10**6, None)])
+    def test_matches_reference_stepping(self, minibatch_n, fix_lag):
+        batch = synthetic_batch(1.0, 0.3, n=200, seed=10)
+        # 600 iterations span two full blocks and a partial one
+        hyper = SgldHyper(K_iters=600, burn_in_c=1, minibatch_n=minibatch_n,
+                          seed=10)
+        est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag=fix_lag)
+        ref = reference_steps(batch, WIDE_PRIOR, hyper, est.samples, fix_lag)
+        assert est.samples[1:] == pytest.approx(ref, rel=1e-10)
+
+    def test_memory_flat_in_iterations(self):
+        batch = synthetic_batch(1.0, 0.3, n=200, seed=9)
+        # warm-up: first calls allocate numpy's one-time caches
+        sgld_run(batch, WIDE_PRIOR, SgldHyper(K_iters=300, seed=9))
+        peaks = []
+        for K_iters in (4_000, 25_000):
+            tracemalloc.start()
+            try:
+                sgld_run(batch, WIDE_PRIOR, SgldHyper(K_iters=K_iters, seed=9))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_000_000
 
     def test_fixed_lag_freezes_second_coordinate(self):
         batch = synthetic_batch(1.0, 0.3, n=200, seed=8)
