@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 configuration error, 3 collision, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -23,6 +22,7 @@ from .harness import (
     default_leader_spec,
     default_scenario,
     emit_outputs,
+    read_csv_columns,
     run_closed_loop,
     save_trajectory,
     synthetic_leader,
@@ -102,24 +102,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_log_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        missing = [c for c in ("time", "accel", "demand") if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        it, ia, iu = (header.index(c) for c in ("time", "accel", "demand"))
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((float(row[it]), float(row[ia]), float(row[iu])))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row {lineno}") from None
-    if len(rows) < 3:
+    data = read_csv_columns(path, ("time", "accel", "demand"))
+    if len(data) < 3:
         raise ValueError(f"{path}: need at least 3 samples")
-    data = np.asarray(rows)
     t_s = float(data[1, 0] - data[0, 0])
     if t_s <= 0 or not np.allclose(np.diff(data[:, 0]), t_s, rtol=1e-6, atol=1e-9):
         raise ValueError(f"{path}: non-uniform time column")

@@ -273,6 +273,10 @@ def sgld_run(
     n_total = len(batch)
     n_mb = min(hyper.minibatch_n, n_total)
     products = _products(batch) * (n_total / (n_mb * hyper.sigma_sq))
+    # finite but huge observations overflow the sums; the resulting NaN
+    # drift would slip past the max_drift clip and overflow exp()
+    if not np.isfinite(products).all():
+        raise ValueError("observations too large: the likelihood sums overflow")
     full_sums = products.sum(axis=0).tolist() if n_mb == n_total else None
 
     m_K, m_T = (float(m) for m in prior.mean)

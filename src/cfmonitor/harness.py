@@ -34,6 +34,7 @@ __all__ = [
     "WindowRecord",
     "RunReport",
     "load_leader",
+    "read_csv_columns",
     "save_trajectory",
     "smooth_acceleration",
     "synthetic_leader",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 LEADER_COLUMNS = ("time", "position", "speed", "accel")
+FOLLOWER_COLUMNS = ("time", "position", "speed", "accel", "jerk", "demanded_accel")
+OVERLAY_COLUMNS = ("time", "leader_speed", "leader_accel", "follower_speed",
+                   "follower_accel")
 
 
 @dataclass(frozen=True)
@@ -111,40 +115,68 @@ class RunReport:
     min_gap: float
 
 
+# characters on which np.loadtxt and the csv/float() row loop can disagree:
+# csv quoting, NUL, and the separators \x1c-\x1f, which numpy strips as
+# whitespace around a number but float() rejects
+_ROW_LOOP_ONLY = '"\0\x1c\x1d\x1e\x1f'
+
+
+def read_csv_columns(path, columns) -> np.ndarray:
+    """Read the named float columns of a headed CSV file.
+
+    Returns an ``(rows, len(columns))`` array.  A data row is valid when
+    ``float()`` accepts each named cell as `csv.reader` splits it; other
+    cells are ignored.  Raises ValueError for an empty file, missing
+    columns, or the first malformed row, by its number in the file.
+    Well-formed files are parsed with `np.loadtxt`; whenever it fails or
+    could disagree, the row loop decides."""
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    idx = [header.index(c) for c in columns]
+    text = "".join(lines)
+    # a blank first row is malformed; checking it here also keeps loadtxt
+    # from warning about a file of blank lines
+    if (len(lines) > 1 and lines[1].strip()
+            and not any(c in text for c in _ROW_LOOP_ONLY)):
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", usecols=idx,
+                              comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            # loadtxt skips blank lines, which the row loop rejects
+            if len(data) == len(lines) - 1:
+                return data
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            rows.append([float(row[i]) for i in idx])
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}: malformed row {lineno}") from None
+    return np.array(rows, dtype=float).reshape(len(rows), len(idx))
+
+
 def load_leader(path) -> Trajectory:
     """Read and validate a leader trajectory CSV (uniform sampling,
     columns time,position,speed,accel)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        missing = [c for c in LEADER_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        idx = [header.index(c) for c in LEADER_COLUMNS]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(row[i]) for i in idx])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row {lineno}") from None
-    if len(rows) < 2:
+    data = read_csv_columns(path, LEADER_COLUMNS)
+    if len(data) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
-    data = np.asarray(rows, dtype=float)
     traj = Trajectory(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
     traj.check_uniform(traj.t_s)
     return traj
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEADER_COLUMNS)
-        for i in range(len(traj)):
-            w.writerow([repr(float(traj.time[i])), repr(float(traj.position[i])),
-                        repr(float(traj.speed[i])), repr(float(traj.accel[i]))])
+    _write_float_csvs([(path, LEADER_COLUMNS,
+                        (traj.time, traj.position, traj.speed, traj.accel))])
 
 
 def smooth_acceleration(traj: Trajectory, kernel_width: float) -> Trajectory:
@@ -236,6 +268,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     the estimator's, so an engine-off run traces the same trajectory as a
     run with no monitoring at all.
     """
+    plant.check_euler_stable(scenario.schedule, scenario.controller.t_s)
     leader = _resolve_leader(scenario)
     cfg = scenario.controller  # strategy-layer view (decided targets)
     tau_active = cfg.tau_star  # slew-limited time gap actually driven
@@ -267,7 +300,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         collision_time = piece.collision_time
         if collision_time is not None or len(piece) < stop - start:
             break
-        ego = _final_state(piece, cfg)
+        ego = piece.final_state
         complete = stop - start == win_steps and w < n_windows
         if complete:
             hyper = replace(scenario.sgld, seed=_window_seed(scenario.seed, w))
@@ -308,15 +341,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         max_abs_jerk=float(np.max(np.abs(follower.jerk))) if len(follower) else 0.0,
         min_gap=_min_gap(leader, follower),
     )
-
-
-def _final_state(piece: plant.SimulationResult, cfg: ControllerConfig) -> VehicleState:
-    """State after the last recorded step of a simulated piece."""
-    i = len(piece) - 1
-    accel = piece.accel[i] + cfg.t_s * piece.jerk[i]
-    speed = max(0.0, piece.speed[i] + cfg.t_s * piece.accel[i])
-    position = piece.position[i] + cfg.t_s * piece.speed[i]
-    return VehicleState(position, speed, accel, float(piece.demanded_accel[i]))
 
 
 def _concat_results(
@@ -362,15 +386,40 @@ def _min_gap(leader: Trajectory, follower: plant.SimulationResult) -> float:
 # ---------------------------------------------------------------------------
 # output emission
 
-def _follower_csv(report: RunReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "position", "speed", "accel", "jerk", "demanded_accel"])
-        f = report.follower
-        for i in range(len(f)):
-            w.writerow([repr(float(v)) for v in (
-                f.time[i], f.position[i], f.speed[i],
-                f.accel[i], f.jerk[i], f.demanded_accel[i])])
+# rows formatted per block: a block's strings (up to 9 columns x 512 rows)
+# stay well under a MB, where a whole 60 000-row run would take tens of MB
+_EMIT_BLOCK = 512
+
+
+def _write_float_csvs(tables) -> None:
+    """Write CSV files of float columns, byte for byte as `csv.writer` does
+    with ``repr(float(v))`` cells and ``\\r\\n`` line ends.
+
+    ``tables`` holds ``(path, header, columns)``; a file has as many rows
+    as its shortest column.  All files are written in one pass over blocks
+    of rows, and a column shared by several files (the same array object)
+    is formatted once per block."""
+    columns = {id(col): np.asarray(col, dtype=float)
+               for _, _, cols in tables for col in cols}
+    rows = [min(len(col) for col in cols) for _, _, cols in tables]
+    files = []
+    try:
+        for path, header, _ in tables:
+            files.append(open(path, "w", newline=""))
+            files[-1].write(",".join(header) + "\r\n")
+        for b0 in range(0, max(rows), _EMIT_BLOCK):
+            live = [(fh, cols) for fh, n, (_, _, cols) in zip(files, rows, tables)
+                    if n > b0]
+            keys = {id(col) for _, cols in live for col in cols}
+            cells = {key: list(map(repr, columns[key][b0:b0 + _EMIT_BLOCK].tolist()))
+                     for key in keys}
+            for fh, cols in live:
+                # zip stops at the file's shortest column
+                lines = zip(*(cells[id(col)] for col in cols))
+                fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+    finally:
+        for fh in files:
+            fh.close()
 
 
 def _estimates_jsonl(report: RunReport, path) -> None:
@@ -429,37 +478,32 @@ def _estimate_timeline_csv(report: RunReport, path) -> None:
                         int(rec.decision.anomaly)])
 
 
-def _overlay_csv(report: RunReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "leader_speed", "leader_accel",
-                    "follower_speed", "follower_accel"])
-        f = report.follower
-        for i in range(len(f)):
-            w.writerow([repr(float(v)) for v in (
-                f.time[i], report.leader.speed[i], report.leader.accel[i],
-                f.speed[i], f.accel[i])])
-
-
 def emit_outputs(report: RunReport, out_dir) -> list[str]:
     """Write all run artifacts into ``out_dir``; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "leader.csv": lambda p: save_trajectory(report.leader, p),
-        "follower.csv": lambda p: _follower_csv(report, p),
-        "estimates.jsonl": lambda p: _estimates_jsonl(report, p),
-        "decisions.jsonl": lambda p: _decisions_jsonl(report, p),
-        "estimate_timeline.csv": lambda p: _estimate_timeline_csv(report, p),
-        "overlay.csv": lambda p: _overlay_csv(report, p),
-    }
-    written = []
+    names = ["leader.csv", "follower.csv", "estimates.jsonl", "decisions.jsonl",
+             "estimate_timeline.csv", "overlay.csv", "summary.json"]
+    paths = {name: os.path.join(out_dir, name) for name in names}
+    lead, f = report.leader, report.follower
+    n = len(f)
+    # the follower is sampled on the leader's timestamps, so its time column
+    # is normally the leader's own prefix and need not be formatted twice
+    time = f.time
+    if time.dtype == lead.time.dtype and time.tobytes() == lead.time[:n].tobytes():
+        time = lead.time
     try:
-        for name, writer in paths.items():
-            full = os.path.join(out_dir, name)
-            writer(full)
-            written.append(full)
-        summary_path = os.path.join(out_dir, "summary.json")
-        with open(summary_path, "w") as fh:
+        _write_float_csvs([
+            (paths["leader.csv"], LEADER_COLUMNS,
+             (lead.time, lead.position, lead.speed, lead.accel)),
+            (paths["follower.csv"], FOLLOWER_COLUMNS,
+             (time, f.position, f.speed, f.accel, f.jerk, f.demanded_accel)),
+            (paths["overlay.csv"], OVERLAY_COLUMNS,
+             (time, lead.speed, lead.accel, f.speed, f.accel)),
+        ])
+        _estimates_jsonl(report, paths["estimates.jsonl"])
+        _decisions_jsonl(report, paths["decisions.jsonl"])
+        _estimate_timeline_csv(report, paths["estimate_timeline.csv"])
+        with open(paths["summary.json"], "w") as fh:
             json.dump({
                 "samples": len(report.follower),
                 "windows": len(report.windows),
@@ -473,10 +517,9 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
                               if rec.decision.anomaly],
             }, fh, indent=2)
             fh.write("\n")
-        written.append(summary_path)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out_dir}: {exc}") from exc
-    return written
+    return list(paths.values())
 
 
 def default_leader_spec() -> SyntheticLeaderSpec:

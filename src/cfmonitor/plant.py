@@ -25,6 +25,7 @@ __all__ = [
     "actuation_command",
     "glvd_jerk",
     "step",
+    "check_euler_stable",
     "simulate",
 ]
 
@@ -175,7 +176,7 @@ class Trajectory:
 class SimulationResult:
     """Follower series aligned on the leader timestamps.  If a collision
     terminated the run the series are truncated and ``collision_time`` is
-    set."""
+    set; otherwise ``final_state`` is the state after the last step."""
 
     time: np.ndarray
     position: np.ndarray
@@ -184,6 +185,7 @@ class SimulationResult:
     jerk: np.ndarray
     demanded_accel: np.ndarray
     collision_time: float | None = None
+    final_state: VehicleState | None = None
 
     def __len__(self) -> int:
         return len(self.time)
@@ -211,7 +213,8 @@ def state_vector(
 def control_command(state: tuple[float, float, float], cfg: ControllerConfig) -> float:
     """Demanded acceleration: gain dot state, saturated to [u_min, u_max]."""
     ds, dv, a = state
-    if not all(math.isfinite(x) for x in (ds, dv, a)):
+    # three checks, not one on the sum: a sum can overflow where each term is finite
+    if not (math.isfinite(ds) and math.isfinite(dv) and math.isfinite(a)):
         raise ValueError("non-finite state")
     u = cfg.k_s * ds + cfg.k_v * dv + cfg.k_a * a
     return min(max(u, cfg.u_min), cfg.u_max)
@@ -259,14 +262,16 @@ def step(
     return VehicleState(position, speed, accel, u_act)
 
 
-def _active_params(schedule: list[tuple[float, PlantParams]], t: float) -> PlantParams:
-    active = schedule[0][1]
+def check_euler_stable(schedule: list[tuple[float, PlantParams]], t_s: float) -> None:
+    """Reject a schedule whose lag makes the explicit Euler step diverge.
+
+    The actuation update is ``a+ = (1 - t_s/T_L) a + ...``; at
+    ``T_L <= t_s/2`` the factor leaves the unit circle and the run blows up
+    instead of simulating the plant."""
     for t_sw, params in schedule:
-        if t_sw <= t + 1e-12:
-            active = params
-        else:
-            break
-    return active
+        _require(params.T_L_true > t_s / 2,
+                 f"T_L_true={params.T_L_true:g} at t={t_sw:g} s is not above t_s/2="
+                 f"{t_s / 2:g}: the explicit Euler step would diverge")
 
 
 def simulate(
@@ -288,6 +293,7 @@ def simulate(
     _require(times == sorted(times), "schedule times must be sorted")
     _require(abs(times[0] - float(leader.time[0])) < 1e-9,
              "first schedule entry must be at the trajectory start")
+    check_euler_stable(schedule, cfg.t_s)
     leader.check_uniform(cfg.t_s)
 
     rng = np.random.default_rng(seed)
@@ -304,43 +310,54 @@ def _simulate_inner(
     stop: int | None = None,
 ) -> SimulationResult:
     """Step the follower over leader samples [start, stop).  Shared by the
-    one-shot `simulate` and the window-by-window harness loop."""
+    one-shot `simulate` and the window-by-window harness loop.
+
+    Equal, bit for bit, to a loop of `step` calls fed one
+    ``rng.standard_normal()`` each; the state is held in plain floats and
+    the window's draws are taken in one call, which gives the same stream.
+    Only after a collision does the generator state differ, and both
+    callers stop there."""
     stop = len(leader) if stop is None else stop
     n = stop - start
-    pos = np.empty(n)
-    spd = np.empty(n)
-    acc = np.empty(n)
-    jrk = np.empty(n)
-    dem = np.empty(n)
-    ego = init
+    lt, lx, lv = (np.asarray(col[start:stop], dtype=float).tolist()
+                  for col in (leader.time, leader.position, leader.speed))
+    draws = rng.standard_normal(n).tolist()
+    pos, spd, acc, jrk, dem = [], [], [], [], []
+    t_s, delta, tau = cfg.t_s, cfg.delta_star, cfg.tau_star
+    x, v, a, u_act = init.position, init.speed, init.accel, init.demanded_accel
+    # schedule entries [0, k) are active (the prefix rule); params is the last
+    # of them, re-evaluated only once the next switch time is reached
+    k, n_sched = 0, len(schedule)
+    next_switch = -math.inf
     collision_time = None
-    filled = 0
     for j in range(n):
-        i = start + j
-        sample = leader.sample(i)
-        t = sample.time
-        params = _active_params(schedule, t)
-        try:
-            u = control_command(state_vector(ego, sample, cfg), cfg)
-        except CollisionError:
+        t = lt[j]
+        if next_switch <= t + 1e-12:
+            while k < n_sched and schedule[k][0] <= t + 1e-12:
+                k += 1
+            params = schedule[max(k, 1) - 1][1]
+            next_switch = schedule[k][0] if k < n_sched else math.inf
+        gap = lx[j] - x  # state_vector, on floats
+        if gap <= 0:
             collision_time = t
             break
-        u_act = actuation_command(ego.accel, u, cfg)
-        eps = params.sigma_eps * rng.standard_normal()
-        jerk = glvd_jerk(ego.accel, u_act, params, eps)
-        pos[j], spd[j], acc[j] = ego.position, ego.speed, ego.accel
-        jrk[j], dem[j] = jerk, u_act
-        filled = j + 1
-        accel = ego.accel + cfg.t_s * jerk
-        speed = max(0.0, ego.speed + cfg.t_s * ego.accel)
-        position = ego.position + cfg.t_s * ego.speed
-        ego = VehicleState(position, speed, accel, u_act)
-    m = filled
+        u = control_command((gap - (delta + tau * v), lv[j] - v, a), cfg)
+        u_act = actuation_command(a, u, cfg)
+        jerk = glvd_jerk(a, u_act, params, params.sigma_eps * draws[j])
+        pos.append(x)
+        spd.append(v)
+        acc.append(a)
+        jrk.append(jerk)
+        dem.append(u_act)
+        x, v, a = x + t_s * v, max(0.0, v + t_s * a), a + t_s * jerk
+    m = len(pos)
     return SimulationResult(
         time=np.asarray(leader.time[start:start + m], dtype=float).copy(),
-        position=pos[:m], speed=spd[:m], accel=acc[:m],
-        jerk=jrk[:m], demanded_accel=dem[:m],
+        position=np.array(pos, dtype=float), speed=np.array(spd, dtype=float),
+        accel=np.array(acc, dtype=float), jerk=np.array(jrk, dtype=float),
+        demanded_accel=np.array(dem, dtype=float),
         collision_time=collision_time,
+        final_state=VehicleState(x, v, a, u_act) if collision_time is None else None,
     )
 
 

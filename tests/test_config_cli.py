@@ -145,6 +145,14 @@ class TestCliEstimate:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 4
 
+    def test_overflowing_log_is_config_error(self, tmp_path, capsys):
+        # a finite accel whose square overflows made the sampler's drift NaN,
+        # which slipped past the max_drift clip and overflowed exp()
+        log = tmp_path / "log.csv"
+        log.write_text("time,accel,demand\n0.0,-7.3e152,1.0\n0.01,0,0\n0.02,0,0\n")
+        assert main(["estimate", str(log)]) == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_malformed_log_is_config_error(self, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("time,accel\n0,0\n0.01,0\n0.02,0\n")
@@ -182,6 +190,20 @@ class TestCliSimulate:
         cfg.write_text(f"monitor.enabled = {text}\n")
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("keys", [
+        "plant.T_L_true = 0.004\nplant.switch_time = null\n",
+        "plant.switch_T_L = 0.005\n",
+    ])
+    def test_euler_unstable_lag_is_config_error(self, tmp_path, capsys, keys):
+        # t_s = 0.01: at T_L <= t_s/2 the explicit Euler step diverges, and
+        # such a run used to end as a "collision" after jerks of 1e8 m/s^3
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(keys)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "Euler" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

@@ -168,6 +168,11 @@ class TestScenarioConfig:
 
 
 class TestRunClosedLoop:
+    def test_euler_unstable_lag_rejected_before_running(self):
+        schedule = [(0.0, NOMINAL), (4.0, PlantParams(0.005, 1.0))]
+        with pytest.raises(ValueError, match="Euler"):
+            run_closed_loop(short_scenario(schedule=schedule))
+
     def test_window_accounting(self):
         report = run_closed_loop(short_scenario(duration=9.0))
         # floor(9 s / 2 s) full windows, every sample in exactly one piece

@@ -19,7 +19,14 @@ from cfmonitor.plant import (
     state_vector,
     step,
 )
-from cfmonitor.harness import LeaderSegment, SyntheticLeaderSpec, synthetic_leader
+from cfmonitor.estimator import SgldHyper
+from cfmonitor.harness import (
+    LeaderSegment,
+    ScenarioConfig,
+    SyntheticLeaderSpec,
+    run_closed_loop,
+    synthetic_leader,
+)
 
 
 CFG = ControllerConfig()
@@ -301,3 +308,135 @@ class TestTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+
+
+def step_reference(leader, cfg, schedule, init, seed):
+    """The public `step` in a loop, fed one scalar standard-normal draw per
+    step from a generator seeded as `simulate` seeds its own; the active
+    entry is the latest one whose time is within 1e-12 s of the sample
+    time.  Returns (columns, collision time, state after the last step)."""
+    rng = np.random.default_rng(seed)
+    ego = init
+    cols = {f: [] for f in ("position", "speed", "accel", "jerk", "demanded_accel")}
+    for i in range(len(leader)):
+        sample = leader.sample(i)
+        params = [p for t_sw, p in schedule if t_sw <= sample.time + 1e-12][-1]
+        draw = rng.standard_normal()
+        try:
+            nxt = step(ego, sample, cfg, params, draw)
+        except CollisionError:
+            return cols, sample.time, None
+        cols["position"].append(ego.position)
+        cols["speed"].append(ego.speed)
+        cols["accel"].append(ego.accel)
+        cols["jerk"].append(glvd_jerk(ego.accel, nxt.demanded_accel, params,
+                                      params.sigma_eps * draw))
+        cols["demanded_accel"].append(nxt.demanded_accel)
+        ego = nxt
+    return cols, None, ego
+
+
+def assert_matches_reference(res, leader, cols, collision_time):
+    n = len(cols["position"])
+    assert len(res) == n
+    assert res.collision_time == collision_time
+    assert res.time.tobytes() == leader.time[:n].tobytes()
+    for f, values in cols.items():
+        # bit for bit: tobytes also tells 0.0 from -0.0
+        assert getattr(res, f).tobytes() == np.array(values, dtype=float).tobytes(), f
+
+
+BRAKING = SyntheticLeaderSpec(segments=(
+    LeaderSegment(2.0, 0.0), LeaderSegment(3.0, -1.5),
+    LeaderSegment(3.0, 1.0), LeaderSegment(4.0, 0.0),
+), v0=20.0)
+
+
+class TestSimulateMatchesStepLoop:
+    NOISY = PlantParams(T_L_true=0.3, K_L_true=1.0, sigma_eps=0.05)
+
+    def check(self, leader, cfg, schedule, init, seed=7):
+        res = simulate(leader, cfg, schedule, init, seed=seed)
+        cols, collision_time, final = step_reference(leader, cfg, schedule, init, seed)
+        assert_matches_reference(res, leader, cols, collision_time)
+        assert res.final_state == final
+        return res
+
+    def test_nominal(self):
+        leader = synthetic_leader(BRAKING)
+        self.check(leader, CFG, [(0.0, self.NOISY)],
+                   equilibrium_follower(leader.sample(0), CFG))
+
+    def test_compensating_lower_level(self):
+        cfg = ControllerConfig(T_L_nominal=0.2, K_L_nominal=0.8,
+                               T_L_ref=0.3, K_L_ref=1.0)
+        assert actuation_command(0.5, 1.0, cfg) != 1.0
+        leader = synthetic_leader(BRAKING)
+        self.check(leader, cfg, [(0.0, PlantParams(0.6, 0.7, sigma_eps=0.2))],
+                   equilibrium_follower(leader.sample(0), cfg))
+
+    def test_switches_between_and_on_samples(self):
+        leader = synthetic_leader(BRAKING)
+        on_sample = float(leader.time[500]) + 5e-13  # active at 500 by the tolerance
+        schedule = [
+            (0.0, self.NOISY),
+            (3.005, PlantParams(1.5, 0.5, sigma_eps=0.3)),
+            (3.0051, PlantParams(0.8, 0.6, sigma_eps=0.1)),  # both start at 3.01
+            (on_sample, PlantParams(0.05, 1.2, sigma_eps=0.02)),
+        ]
+        self.check(leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG))
+
+    def test_switch_inside_a_harness_window(self):
+        # the harness steps 2 s windows on one generator and hands each
+        # window's final state to the next; the switch falls mid-window
+        leader = synthetic_leader(BRAKING)
+        schedule = [(0.0, self.NOISY), (3.005, PlantParams(1.5, 0.5, sigma_eps=0.3))]
+        report = run_closed_loop(ScenarioConfig(
+            controller=CFG, schedule=schedule, leader_spec=BRAKING, window_length=2.0,
+            sgld=SgldHyper(K_iters=200), strategy_enabled=False, seed=7))
+        cols, collision_time, _ = step_reference(
+            leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG), seed=7)
+        assert_matches_reference(report.follower, leader, cols, collision_time)
+
+    def test_saturated_demand(self):
+        leader = synthetic_leader(BRAKING)
+        # 35 m of surplus headway, then closing fast from too near
+        far = VehicleState(position=leader.position[0] - 60.0, speed=20.0)
+        near = VehicleState(position=leader.position[0] - 12.0, speed=26.0)
+        res = self.check(leader, CFG, [(0.0, self.NOISY)], far)
+        assert np.any(res.demanded_accel == CFG.u_max)
+        res = self.check(leader, CFG, [(0.0, self.NOISY)], near)
+        assert np.any(res.demanded_accel == CFG.u_min)
+
+    def test_speed_clamped_at_standstill(self):
+        leader = constant_leader(speed=0.0, duration=3.0)
+        init = VehicleState(position=leader.position[0] - 10.0, speed=0.005, accel=-2.0)
+        res = self.check(leader, CFG, [(0.0, self.NOISY)], init)
+        assert res.speed[1] == 0.0
+
+    def test_collision(self):
+        leader = synthetic_leader(SyntheticLeaderSpec(segments=(
+            LeaderSegment(1.0, 0.0), LeaderSegment(5.0, -4.0),
+            LeaderSegment(5.0, 0.0),
+        ), v0=20.0))
+        init = VehicleState(position=leader.position[0] - 6.0, speed=30.0, accel=0.0)
+        res = self.check(leader, CFG, [(0.0, self.NOISY)], init)
+        assert res.collision_time is not None and 0 < len(res) < len(leader)
+        assert res.final_state is None
+
+
+class TestEulerStabilityGuard:
+    @pytest.mark.parametrize("t_l", [0.005, 0.004, 0.001])
+    def test_lag_at_or_below_half_step_rejected(self, t_l):
+        leader = constant_leader(duration=1.0)
+        init = equilibrium_follower(leader.sample(0), CFG)
+        with pytest.raises(ValueError, match="Euler"):
+            simulate(leader, CFG, [(0.0, PlantParams(t_l, 1.0))], init)
+        with pytest.raises(ValueError, match="Euler"):
+            simulate(leader, CFG, [(0.0, NOMINAL), (0.5, PlantParams(t_l, 1.0))], init)
+
+    def test_lag_just_above_half_step_accepted(self):
+        leader = constant_leader(duration=1.0)
+        init = equilibrium_follower(leader.sample(0), CFG)
+        res = simulate(leader, CFG, [(0.0, PlantParams(0.0051, 1.0))], init)
+        assert len(res) == len(leader)
