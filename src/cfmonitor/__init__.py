@@ -14,7 +14,7 @@ from .plant import (
     VehicleState,
     simulate,
 )
-from .stability import StabilityVerdict, assess, local_stability, string_stability
+from .stability import StabilityVerdict, assess
 from .estimator import (
     GaussianPrior,
     ObservationBatch,

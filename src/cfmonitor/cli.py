@@ -22,6 +22,7 @@ from .harness import (
     default_leader_spec,
     default_scenario,
     emit_outputs,
+    estimate_record,
     read_csv_columns,
     run_closed_loop,
     save_trajectory,
@@ -121,14 +122,7 @@ def _cmd_estimate(args) -> int:
         hyper, prior = SgldHyper(), GaussianPrior((1.0, 0.3), 10.0)
     batch = batch_from_series(accel, demand, t_s, t_start=t0)
     est = sgld_run(batch, prior, replace(hyper, seed=args.seed))
-    payload = json.dumps({
-        "posterior_mean": {"K_L": est.K_L, "T_L": est.T_L},
-        "covariance": est.covariance.tolist(),
-        "credible_95": {"K_L": est.credible[0].tolist(),
-                        "T_L": est.credible[1].tolist()},
-        "sample_count": len(est.samples),
-        "low_confidence": est.low_confidence,
-    }, indent=2)
+    payload = json.dumps(estimate_record(est), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")

@@ -11,6 +11,7 @@ Unset keys fall back to the default scenario.
 from __future__ import annotations
 
 import json
+import math
 
 from .estimator import SgldHyper
 from .harness import ScenarioConfig, default_scenario
@@ -47,14 +48,17 @@ def parse_config_file(path) -> dict[str, object]:
 def _pop_float(values: dict, key: str, default: float) -> float:
     v = values.pop(key, default)
     try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {v!r}") from None
+        f = float(v)
+    except (TypeError, ValueError, OverflowError):
+        f = math.nan  # reported below, like any non-finite value
+    if not math.isfinite(f):
+        raise ConfigError(f"{key}: expected a finite number, got {v!r}")
+    return f
 
 
 def _pop_int(values: dict, key: str, default: int) -> int:
     v = values.pop(key, default)
-    if isinstance(v, bool) or (isinstance(v, float) and v != int(v)):
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     try:
         return int(v)
@@ -106,15 +110,15 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
             K_L_true=_pop_float(values, "plant.K_L_true", 1.0),
             sigma_eps=sigma0,
         ))]
-        switch_time = values.pop("plant.switch_time", 26.0)
-        if switch_time is not None:
-            schedule.append((float(switch_time), PlantParams(
+        if values.get("plant.switch_time", 26.0) is not None:
+            schedule.append((_pop_float(values, "plant.switch_time", 26.0), PlantParams(
                 T_L_true=_pop_float(values, "plant.switch_T_L", 1.5),
                 K_L_true=_pop_float(values, "plant.switch_K_L", 0.5),
                 sigma_eps=_pop_float(values, "plant.switch_sigma_eps", 0.3),
             )))
         else:
-            for k in ("plant.switch_T_L", "plant.switch_K_L", "plant.switch_sigma_eps"):
+            for k in ("plant.switch_time", "plant.switch_T_L", "plant.switch_K_L",
+                      "plant.switch_sigma_eps"):
                 values.pop(k, None)
 
         source = values.pop("leader.source", "synthetic")
@@ -174,7 +178,7 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
             strategy_enabled=_pop_bool(values, "monitor.enabled", True),
             seed=_pop_int(values, "seed", base.seed),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # e.g. a K_iters beyond float range
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc

@@ -19,7 +19,6 @@ __all__ = [
     "GaussianPrior",
     "SgldHyper",
     "PosteriorEstimate",
-    "model_jerk",
     "log_posterior",
     "grad_log_posterior",
     "sgld_run",
@@ -74,7 +73,9 @@ def batch_from_series(
     """Build a batch from logged accel/demand series, with jerk by central
     finite differences (one-sided at the edges)."""
     accel = np.asarray(accel, dtype=float)
-    jerk = np.gradient(accel, t_s)
+    # huge accelerations overflow here; ObservationBatch rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        jerk = np.gradient(accel, t_s)
     return ObservationBatch(accel, demand, jerk,
                             t_start, t_start + t_s * len(accel))
 
@@ -153,14 +154,6 @@ class PosteriorEstimate:
     @property
     def T_L(self) -> float:
         return float(self.mean[1])
-
-
-def model_jerk(a, u, theta) -> float:
-    """Deterministic jerk predicted by the actuation model."""
-    K_L, T_L = theta
-    if T_L <= 0:
-        raise ValueError("T_L must be positive")
-    return (K_L * u - a) / T_L
 
 
 def log_posterior(
@@ -272,9 +265,10 @@ def sgld_run(
     rng = np.random.default_rng(hyper.seed)
     n_total = len(batch)
     n_mb = min(hyper.minibatch_n, n_total)
-    products = _products(batch) * (n_total / (n_mb * hyper.sigma_sq))
     # finite but huge observations overflow the sums; the resulting NaN
     # drift would slip past the max_drift clip and overflow exp()
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _products(batch) * (n_total / (n_mb * hyper.sigma_sq))
     if not np.isfinite(products).all():
         raise ValueError("observations too large: the likelihood sums overflow")
     full_sums = products.sum(axis=0).tolist() if n_mb == n_total else None

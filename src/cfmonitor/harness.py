@@ -40,6 +40,7 @@ __all__ = [
     "synthetic_leader",
     "run_closed_loop",
     "emit_outputs",
+    "estimate_record",
     "default_scenario",
 ]
 
@@ -83,8 +84,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if (self.leader_csv is None) == (self.leader_spec is None):
             raise ValueError("specify exactly one of leader_csv / leader_spec")
-        steps = self.window_length / self.controller.t_s
-        if self.window_length <= 0 or abs(steps - round(steps)) > 1e-9:
+        steps = self.window_length / self.controller.t_s  # inf for a tiny t_s
+        if (self.window_length <= 0 or not math.isfinite(steps)
+                or abs(steps - round(steps)) > 1e-9):
             raise ValueError("window_length must be a positive multiple of t_s")
 
 
@@ -125,9 +127,10 @@ def read_csv_columns(path, columns) -> np.ndarray:
     """Read the named float columns of a headed CSV file.
 
     Returns an ``(rows, len(columns))`` array.  A data row is valid when
-    ``float()`` accepts each named cell as `csv.reader` splits it; other
-    cells are ignored.  Raises ValueError for an empty file, missing
-    columns, or the first malformed row, by its number in the file.
+    ``float()`` accepts each named cell as `csv.reader` splits it and the
+    value is finite; other cells are ignored.  Raises ValueError for an
+    empty file, missing columns, or the first malformed or non-finite row,
+    by its number in the file.
     Well-formed files are parsed with `np.loadtxt`; whenever it fails or
     could disagree, the row loop decides."""
     with open(path, newline="") as fh:
@@ -151,8 +154,9 @@ def read_csv_columns(path, columns) -> np.ndarray:
         except ValueError:
             pass
         else:
-            # loadtxt skips blank lines, which the row loop rejects
-            if len(data) == len(lines) - 1:
+            # loadtxt skips blank lines, which the row loop rejects; the
+            # row loop also names the first non-finite row
+            if len(data) == len(lines) - 1 and np.isfinite(data).all():
                 return data
     rows = []
     for lineno, row in enumerate(reader, start=2):
@@ -160,6 +164,8 @@ def read_csv_columns(path, columns) -> np.ndarray:
             rows.append([float(row[i]) for i in idx])
         except (ValueError, IndexError):
             raise ValueError(f"{path}: malformed row {lineno}") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"{path}: non-finite value in row {lineno}")
     return np.array(rows, dtype=float).reshape(len(rows), len(idx))
 
 
@@ -268,14 +274,10 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     the estimator's, so an engine-off run traces the same trajectory as a
     run with no monitoring at all.
     """
-    plant.check_euler_stable(scenario.schedule, scenario.controller.t_s)
     leader = _resolve_leader(scenario)
     cfg = scenario.controller  # strategy-layer view (decided targets)
     tau_active = cfg.tau_star  # slew-limited time gap actually driven
-    leader.check_uniform(cfg.t_s)
-    for t_sw, _ in scenario.schedule:
-        if not (leader.time[0] <= t_sw <= leader.time[-1]):
-            raise ValueError(f"schedule time {t_sw} outside trajectory span")
+    plant.check_schedule(scenario.schedule, leader, cfg.t_s)
 
     ego = scenario.init_follower or plant.equilibrium_follower(leader.sample(0), cfg)
     plant_rng = np.random.default_rng(scenario.seed)
@@ -422,22 +424,29 @@ def _write_float_csvs(tables) -> None:
             fh.close()
 
 
+def estimate_record(e: PosteriorEstimate) -> dict:
+    """The JSON fields of a posterior estimate, as both `estimates.jsonl`
+    and ``cfmonitor estimate`` write them."""
+    return {
+        "posterior_mean": {"K_L": e.K_L, "T_L": e.T_L},
+        "covariance": e.covariance.tolist(),
+        "credible_95": {"K_L": e.credible[0].tolist(),
+                        "T_L": e.credible[1].tolist()},
+        "sample_count": len(e.samples),
+        "low_confidence": e.low_confidence,
+    }
+
+
 def _estimates_jsonl(report: RunReport, path) -> None:
     with open(path, "w") as fh:
         for rec in report.windows:
-            e = rec.estimate
             fh.write(json.dumps({
                 "window": rec.index,
                 "t_start": rec.t_start,
                 "t_end": rec.t_end,
                 "prior_mean": list(rec.prior_mean),
                 "prior_variance": rec.prior_variance,
-                "posterior_mean": {"K_L": e.K_L, "T_L": e.T_L},
-                "covariance": e.covariance.tolist(),
-                "credible_95": {"K_L": e.credible[0].tolist(),
-                                "T_L": e.credible[1].tolist()},
-                "sample_count": len(e.samples),
-                "low_confidence": e.low_confidence,
+                **estimate_record(rec.estimate),
             }) + "\n")
 
 

@@ -8,7 +8,7 @@ integrated with explicit Euler at a fixed step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "actuation_command",
     "glvd_jerk",
     "step",
-    "check_euler_stable",
+    "check_schedule",
     "simulate",
 ]
 
@@ -92,10 +92,6 @@ class ControllerConfig:
         _require(self.T_L_ref > 0 and self.K_L_ref > 0, "reference dynamics must be positive")
         _require(self.comp_lead_max >= 1, "comp_lead_max must be at least 1")
         _require(self.comp_gain_max >= 1, "comp_gain_max must be at least 1")
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([self.k_s, self.k_v, self.k_a])
 
 
 @dataclass(frozen=True)
@@ -190,9 +186,6 @@ class SimulationResult:
     def __len__(self) -> int:
         return len(self.time)
 
-    def trajectory(self) -> Trajectory:
-        return Trajectory(self.time, self.position, self.speed, self.accel)
-
 
 def state_vector(
     ego: VehicleState, leader: TrajectorySample, cfg: ControllerConfig
@@ -262,16 +255,28 @@ def step(
     return VehicleState(position, speed, accel, u_act)
 
 
-def check_euler_stable(schedule: list[tuple[float, PlantParams]], t_s: float) -> None:
-    """Reject a schedule whose lag makes the explicit Euler step diverge.
+def check_schedule(
+    schedule: list[tuple[float, PlantParams]], leader: Trajectory, t_s: float
+) -> None:
+    """Reject a schedule that cannot drive the plant along ``leader``.
 
-    The actuation update is ``a+ = (1 - t_s/T_L) a + ...``; at
-    ``T_L <= t_s/2`` the factor leaves the unit circle and the run blows up
-    instead of simulating the plant."""
+    The entries must be sorted, the first at the leader's start time and
+    none past its end, and the leader must be sampled uniformly at ``t_s``.
+    A lag ``T_L_true <= t_s/2`` is rejected too: the actuation update is
+    ``a+ = (1 - t_s/T_L) a + ...``, so there the explicit Euler factor
+    leaves the unit circle and the run blows up instead of simulating the
+    plant."""
+    _require(len(schedule) >= 1, "schedule must contain at least one entry")
+    times = [t for t, _ in schedule]
+    _require(times == sorted(times), "schedule times must be sorted")
+    _require(abs(times[0] - float(leader.time[0])) < 1e-9,
+             "first schedule entry must be at the trajectory start")
     for t_sw, params in schedule:
+        _require(t_sw <= leader.time[-1], f"schedule time {t_sw} outside trajectory span")
         _require(params.T_L_true > t_s / 2,
                  f"T_L_true={params.T_L_true:g} at t={t_sw:g} s is not above t_s/2="
                  f"{t_s / 2:g}: the explicit Euler step would diverge")
+    leader.check_uniform(t_s)
 
 
 def simulate(
@@ -283,18 +288,12 @@ def simulate(
 ) -> SimulationResult:
     """Run the closed loop over the full leader trajectory.
 
-    ``schedule`` lists (time, PlantParams) switch points, sorted, first at
-    the leader's start time; the latest entry at or before the current time
-    is active.  Deterministic given the seed.  On collision the result is
+    ``schedule`` lists (time, PlantParams) switch points, checked by
+    `check_schedule`; the latest entry at or before the current time is
+    active.  Deterministic given the seed.  On collision the result is
     truncated at the offending step with ``collision_time`` set.
     """
-    _require(len(schedule) >= 1, "schedule must contain at least one entry")
-    times = [t for t, _ in schedule]
-    _require(times == sorted(times), "schedule times must be sorted")
-    _require(abs(times[0] - float(leader.time[0])) < 1e-9,
-             "first schedule entry must be at the trajectory start")
-    check_euler_stable(schedule, cfg.t_s)
-    leader.check_uniform(cfg.t_s)
+    check_schedule(schedule, leader, cfg.t_s)
 
     rng = np.random.default_rng(seed)
     return _simulate_inner(leader, cfg, schedule, init, rng)

@@ -4,6 +4,7 @@ parameter sweeps producing stability-region maps."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,6 @@ from .plant import ControllerConfig
 __all__ = [
     "StabilityVerdict",
     "RegionMap",
-    "local_stability",
-    "string_stability",
     "assess",
     "stability_region",
     "region_to_csv",
@@ -46,8 +45,21 @@ class StabilityVerdict:
         return self.margins[N_LOCAL:]
 
 
+def _square(x):
+    """``x ** 2``, but +inf where a float's square overflows: Python's float
+    power raises there.  ``x * x`` would not raise either, but where the C
+    library's ``pow`` is not correctly rounded it differs from ``x ** 2`` in
+    the last bit for some floats, and the margins are part of the
+    byte-identical artifacts."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _margin_arrays(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
-    """All 8 margins, vectorized over the gain/time-gap arguments."""
+    """All 8 margins, vectorized over the gain/time-gap arguments.  Finite
+    input that overflows gives inf or NaN margins, never an exception."""
     combo = k_s * tau + k_v
     local = [
         1.0 - k_hi * k_a,
@@ -57,9 +69,9 @@ def _margin_arrays(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
         (1.0 / k_hi - k_a) * combo - (t_lo / k_hi) * k_s,
     ]
     string = [
-        (k_hi * k_a - 1.0) ** 2 - 2.0 * t_hi * k_hi * combo,
-        (k_lo * k_a - 1.0) ** 2 - 2.0 * t_hi * k_hi * combo,
-        k_lo * (2.0 * k_s * k_a + combo**2 - k_v**2) - 2.0 * k_s,
+        _square(k_hi * k_a - 1.0) - 2.0 * t_hi * k_hi * combo,
+        _square(k_lo * k_a - 1.0) - 2.0 * t_hi * k_hi * combo,
+        k_lo * (2.0 * k_s * k_a + _square(combo) - _square(k_v)) - 2.0 * k_s,
     ]
     return local, string
 
@@ -69,37 +81,19 @@ def _check_bounds(cfg: ControllerConfig) -> None:
         raise ValueError("parameter bounds must be positive")
 
 
-def local_stability(cfg: ControllerConfig) -> tuple[tuple[float, ...], bool]:
-    """Five local-stability margins and the combined verdict.
-
-    Margins are strict: exactly zero counts as not satisfied.
-    """
-    _check_bounds(cfg)
-    local, _ = _margin_arrays(
-        cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
-        cfg.T_L_bounds[0], cfg.T_L_bounds[1],
-        cfg.K_L_bounds[0], cfg.K_L_bounds[1],
-    )
-    margins = tuple(float(m) for m in local)
-    return margins, all(m > 0 for m in margins)
-
-
-def string_stability(cfg: ControllerConfig) -> tuple[tuple[float, ...], bool]:
-    """Three string-stability margins and the combined verdict."""
-    _check_bounds(cfg)
-    _, string = _margin_arrays(
-        cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
-        cfg.T_L_bounds[0], cfg.T_L_bounds[1],
-        cfg.K_L_bounds[0], cfg.K_L_bounds[1],
-    )
-    margins = tuple(float(m) for m in string)
-    return margins, all(m > 0 for m in margins)
-
-
 def assess(cfg: ControllerConfig) -> StabilityVerdict:
-    local, ok_local = local_stability(cfg)
-    string, ok_string = string_stability(cfg)
-    return StabilityVerdict(ok_local, ok_string, local + string)
+    """The five local and three string margins of ``cfg`` and both
+    verdicts.  Margins are strict: zero or NaN counts as not satisfied."""
+    _check_bounds(cfg)
+    local, string = _margin_arrays(
+        cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
+        cfg.T_L_bounds[0], cfg.T_L_bounds[1],
+        cfg.K_L_bounds[0], cfg.K_L_bounds[1],
+    )
+    local = tuple(float(m) for m in local)
+    string = tuple(float(m) for m in string)
+    return StabilityVerdict(all(m > 0 for m in local),
+                            all(m > 0 for m in string), local + string)
 
 
 @dataclass
@@ -119,14 +113,6 @@ class RegionMap:
     locally_stable: np.ndarray
     string_stable: np.ndarray
     valid: np.ndarray
-    fixed: ControllerConfig
-
-    def verdict(self, i: int, j: int) -> StabilityVerdict:
-        return StabilityVerdict(
-            bool(self.locally_stable[i, j]),
-            bool(self.string_stable[i, j]),
-            tuple(float(m) for m in self.margins[i, j]),
-        )
 
     def stable_cell_count(self) -> int:
         """Cells that are both locally and string stable."""
@@ -182,7 +168,7 @@ def stability_region(
         ok_local = valid & np.all(margins[..., :N_LOCAL] > 0, axis=-1)
         ok_string = valid & np.all(margins[..., N_LOCAL:] > 0, axis=-1)
     return RegionMap(param1, param2, grid1, grid2, margins,
-                     ok_local, ok_string, valid, fixed)
+                     ok_local, ok_string, valid)
 
 
 def region_to_csv(region: RegionMap, path) -> None:

@@ -116,7 +116,8 @@ class TestEmissionMatchesCsvWriter:
 
 
 def reference_rows(text, columns):
-    """The row loop: ("malformed", row number) or ("ok", data)."""
+    """The row loop: ("malformed" or "non-finite value in", row number) for
+    the first bad row, or ("ok", data)."""
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader)
     idx = [header.index(c) for c in columns]
@@ -126,6 +127,8 @@ def reference_rows(text, columns):
             rows.append([float(row[i]) for i in idx])
         except (ValueError, IndexError):
             return "malformed", lineno
+        if not np.isfinite(rows[-1]).all():
+            return "non-finite value in", lineno
     return "ok", np.array(rows, dtype=float).reshape(len(rows), len(columns))
 
 
@@ -206,11 +209,11 @@ class TestReaderMatchesRowLoop:
                 error = str(exc)
             else:
                 error = None
-        if outcome == "malformed":
-            assert error is not None and re.search(rf"malformed row {ref}$", error)
+        if outcome != "ok":
+            assert error is not None and re.search(rf"{outcome} row {ref}$", error)
             return
         if error is not None:
-            assert "malformed" not in error
+            assert not re.search(r"(malformed|non-finite value in) row", error)
             assert len(ref) < 2 or "non-uniform" in error
             return
         for k, name in enumerate(LEADER):
@@ -230,11 +233,11 @@ class TestReaderMatchesRowLoop:
                          "--out", str(csv_dir / "estimate.json")])
         err = stderr.getvalue()
         assert code in (0, 2)
-        if outcome == "malformed":
+        if outcome != "ok":
             assert code == 2
-            assert re.search(rf"malformed row {ref}$", err.strip())
+            assert re.search(rf"{outcome} row {ref}$", err.strip())
         else:
-            assert "malformed" not in err
+            assert not re.search(r"(malformed|non-finite value in) row", err)
             if len(ref) < 3:
                 assert code == 2 and "need at least 3 samples" in err
 

@@ -17,7 +17,6 @@ from cfmonitor.estimator import (
     batch_from_series,
     grad_log_posterior,
     log_posterior,
-    model_jerk,
     posterior_summary,
     sgld_run,
     update_prior,
@@ -102,18 +101,11 @@ class TestObservationBatch:
         b = batch_from_series(accel, np.zeros(4), t_s=1.0)
         assert b.jerk == pytest.approx([1.0, 2.0, 4.0, 5.0])
 
-
-class TestModelJerk:
-    def test_equilibrium(self):
-        assert model_jerk(1.0, 1.0, (1.0, 0.7)) == 0.0
-
-    def test_substitution(self):
-        assert model_jerk(0.0, 2.0, (0.5, 0.5)) == pytest.approx(2.0)
-        assert model_jerk(1.0, 0.0, (1.0, 0.3)) == pytest.approx(-10.0 / 3.0)
-
-    def test_nonpositive_lag_rejected(self):
-        with pytest.raises(ValueError):
-            model_jerk(0.0, 1.0, (1.0, 0.0))
+    def test_overflowing_jerk_rejected_without_warning(self):
+        # the differences overflow; the batch rejects the non-finite jerk,
+        # and pytest's filterwarnings makes a numpy RuntimeWarning an error
+        with pytest.raises(ValueError, match="non-finite values in jerk"):
+            batch_from_series(np.array([1e308, -1e308, 1e308]), np.zeros(3), t_s=0.01)
 
 
 class TestLogPosterior:
@@ -137,6 +129,13 @@ class TestLogPosterior:
             ObservationBatch(np.zeros(2), np.zeros(2), np.zeros(2)),
             theta, WIDE_PRIOR, sigma_sq)
         assert lp0 - lp == pytest.approx(0.5**2 / (2 * sigma_sq))
+
+    @pytest.mark.parametrize("T_L", [0.0, -0.3])
+    def test_nonpositive_lag_rejected(self, T_L):
+        batch = ObservationBatch(np.zeros(2), np.ones(2), np.zeros(2))
+        for fn in (log_posterior, grad_log_posterior):
+            with pytest.raises(ValueError, match="T_L must be positive"):
+                fn(batch, (1.0, T_L), WIDE_PRIOR, 0.01)
 
 
 class TestGradients:

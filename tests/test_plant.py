@@ -440,3 +440,41 @@ class TestEulerStabilityGuard:
         init = equilibrium_follower(leader.sample(0), CFG)
         res = simulate(leader, CFG, [(0.0, PlantParams(0.0051, 1.0))], init)
         assert len(res) == len(leader)
+
+
+class TestScheduleCheck:
+    """`simulate` and `run_closed_loop` reject the same schedules."""
+
+    SPEC = SyntheticLeaderSpec(segments=(LeaderSegment(2.0, 0.0),), v0=20.0)
+    DEGRADED = PlantParams(1.5, 0.5)
+    BAD = {
+        "empty": ([], "at least one entry"),
+        "unsorted": ([(1.0, DEGRADED), (0.0, NOMINAL)], "sorted"),
+        "first entry late": ([(0.5, NOMINAL)], "trajectory start"),
+        "first entry early": ([(-0.5, NOMINAL), (1.0, DEGRADED)], "trajectory start"),
+        "entry past the end": ([(0.0, NOMINAL), (2.5, DEGRADED)], "outside trajectory span"),
+        "NaN switch time": ([(0.0, NOMINAL), (math.nan, DEGRADED)], "outside"),
+        "Euler-unstable lag": ([(0.0, NOMINAL), (1.0, PlantParams(0.005, 1.0))], "Euler"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_rejected_by_both_entry_points(self, case):
+        schedule, message = self.BAD[case]
+        leader = synthetic_leader(self.SPEC)
+        with pytest.raises(ValueError, match=message):
+            simulate(leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG))
+        with pytest.raises(ValueError, match=message):
+            run_closed_loop(ScenarioConfig(controller=CFG, schedule=schedule,
+                                           leader_spec=self.SPEC))
+
+    def test_sampling_rate_mismatch_rejected_by_closed_loop(self):
+        spec = SyntheticLeaderSpec(segments=(LeaderSegment(2.0, 0.0),), t_s=0.02)
+        with pytest.raises(ValueError, match="non-uniform"):
+            run_closed_loop(ScenarioConfig(controller=CFG, schedule=[(0.0, NOMINAL)],
+                                           leader_spec=spec, window_length=2.0))
+
+    def test_switch_at_the_last_sample_accepted(self):
+        leader = synthetic_leader(self.SPEC)
+        schedule = [(0.0, NOMINAL), (float(leader.time[-1]), self.DEGRADED)]
+        res = simulate(leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG))
+        assert len(res) == len(leader)

@@ -9,10 +9,8 @@ from cfmonitor.stability import (
     RegionMap,
     StabilityVerdict,
     assess,
-    local_stability,
     region_to_csv,
     stability_region,
-    string_stability,
 )
 
 
@@ -45,47 +43,49 @@ def oracle_margins(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
 
 class TestLocalStability:
     def test_default_config_is_locally_stable(self):
-        margins, ok = local_stability(DEFAULT)
-        assert ok
+        v = assess(DEFAULT)
+        margins = v.local_margins
+        assert v.locally_stable
         assert all(m > 0 for m in margins)
         assert margins[3] == pytest.approx((1 / 0.7 + 0.8) * 3 - (0.4 / 0.7) * 1.5)
 
     def test_negative_spacing_gain_fails(self):
-        margins, ok = local_stability(config(k_s=-1.0))
-        assert margins[2] == -1.0
-        assert not ok
+        v = assess(config(k_s=-1.0))
+        assert v.local_margins[2] == -1.0
+        assert not v.locally_stable
 
     def test_positive_accel_gain_fails_first_condition(self):
-        margins, ok = local_stability(config(k_a=1.2))
-        assert margins[0] == pytest.approx(-0.2)
-        assert not ok
+        v = assess(config(k_a=1.2))
+        assert v.local_margins[0] == pytest.approx(-0.2)
+        assert not v.locally_stable
 
     def test_nonpositive_bounds_rejected(self):
         cfg = config()
         object.__setattr__(cfg, "T_L_bounds", (-0.1, 0.4))
         with pytest.raises(ValueError):
-            local_stability(cfg)
+            assess(cfg)
 
 
 class TestStringStability:
     def test_default_config_margins(self):
-        margins, ok = string_stability(DEFAULT)
-        assert ok
+        v = assess(DEFAULT)
+        margins = v.string_margins
+        assert v.string_stable
         assert margins[0] == pytest.approx(0.84, abs=1e-12)
         assert margins[1] == pytest.approx(0.0336, abs=1e-12)
         assert margins[2] == pytest.approx(0.045, abs=1e-12)
 
     def test_large_lag_bound_fails(self):
-        margins, ok = string_stability(config(T_L_bounds=(0.1, 1.0)))
-        assert margins[0] == pytest.approx(3.24 - 6.0)
-        assert not ok
+        v = assess(config(T_L_bounds=(0.1, 1.0)))
+        assert v.string_margins[0] == pytest.approx(3.24 - 6.0)
+        assert not v.string_stable
 
     def test_zero_gains_edge_case(self):
         cfg = config(k_s=0.0, k_v=0.0, k_a=0.0, K_L_bounds=(1.0, 1.0),
                      K_L_nominal=1.0)
-        margins, ok = string_stability(cfg)
-        assert margins == (1.0, 1.0, 0.0)
-        assert not ok  # strict inequality: exactly zero fails
+        v = assess(cfg)
+        assert v.string_margins == (1.0, 1.0, 0.0)
+        assert not v.string_stable  # strict inequality: exactly zero fails
 
 
 bounded = st.floats(min_value=-3.0, max_value=3.0,
@@ -120,10 +120,9 @@ class TestProperties:
             T_L_bounds=(t_lo, t_lo), K_L_bounds=(k_lo, k_lo),
             T_L_nominal=t_lo, K_L_nominal=k_lo,
         )
-        margins, _ = local_stability(cfg)
-        assert margins[3] == pytest.approx(margins[4], rel=1e-12)
-        smargins, _ = string_stability(cfg)
-        assert smargins[0] == pytest.approx(smargins[1], rel=1e-12)
+        v = assess(cfg)
+        assert v.local_margins[3] == pytest.approx(v.local_margins[4], rel=1e-12)
+        assert v.string_margins[0] == pytest.approx(v.string_margins[1], rel=1e-12)
 
     @given(t_hi_a=st.floats(0.1, 0.9), extra=st.floats(0.01, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -153,11 +152,10 @@ class TestStabilityRegion:
     def test_degenerate_grid_matches_assess(self):
         reg = stability_region("k_s", np.array([1.5]), "k_v", np.array([1.5]),
                                DEFAULT)
-        cell = reg.verdict(0, 0)
         direct = assess(DEFAULT)
-        assert cell.margins == pytest.approx(direct.margins)
-        assert cell.locally_stable == direct.locally_stable
-        assert cell.string_stable == direct.string_stable
+        assert tuple(reg.margins[0, 0]) == pytest.approx(direct.margins)
+        assert reg.locally_stable[0, 0] == direct.locally_stable
+        assert reg.string_stable[0, 0] == direct.string_stable
 
     def test_region_shrinks_with_upper_lag(self):
         grid = np.linspace(0.0, 5.0, 101)
