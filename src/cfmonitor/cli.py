@@ -23,6 +23,7 @@ from .harness import (
     default_scenario,
     emit_outputs,
     estimate_record,
+    json_margins,
     read_csv_columns,
     run_closed_loop,
     save_trajectory,
@@ -146,9 +147,9 @@ def _cmd_stability(args) -> int:
     print(json.dumps({
         "locally_stable": verdict.locally_stable,
         "string_stable": verdict.string_stable,
-        "local_margins": list(verdict.local_margins),
-        "string_margins": list(verdict.string_margins),
-    }, indent=2))
+        "local_margins": json_margins(verdict.local_margins),
+        "string_margins": json_margins(verdict.string_margins),
+    }, indent=2, allow_nan=False))
     if args.sweep:
         if not args.out:
             raise ConfigError("--sweep requires --out for the region CSV")

@@ -33,6 +33,13 @@ __all__ = [
 # a whole chain at once would hold a (K_iters, minibatch_n, 5) gather, so
 # memory would grow with K_iters; fixed blocks keep it flat.
 _BLOCK = 256
+# Iterations whose minibatch indices one pass of Floyd's row loop resolves,
+# so the loop's per-row overhead is paid once per four blocks.  Columns are
+# resolved independently, so the slab width changes no index.
+_SLAB = 4 * _BLOCK
+
+_DIVERGED = ("SGLD chain diverged (K_L or T_L left the positive floats); "
+             "reduce sgld.eta_1 or sgld.max_drift")
 
 
 @dataclass(frozen=True)
@@ -210,22 +217,59 @@ def grad_log_posterior(
         _lik_grad(K_L, T_L, *sums.tolist()))
 
 
-def _draw_minibatches(rng: np.random.Generator, n: int, k: int,
-                      count: int) -> np.ndarray:
-    """``count`` independent uniform k-subsets of range(n), one per column
-    of the (k, count) result.
+def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
+    """Independent uniform k-subsets of range(n), one per column of the
+    (k, count) array of uniforms on [0, 1); the result has the same shape.
 
-    Floyd's algorithm, vectorised over subsets: row c draws t uniformly
-    from [0, n - k + c] and takes n - k + c instead where t is already
-    among rows 0..c-1.  Memory is k x count, independent of n.
+    Floyd's algorithm, vectorised over subsets: row c takes t uniformly
+    from [0, n - k + c] and n - k + c instead where t is already among rows
+    0..c-1.  Each column depends only on its own uniforms.
     """
-    # floor(U * m) with a 53-bit U is uniform on range(m) to within m/2**53
-    draws = (rng.random((k, count))
-             * np.arange(n - k + 1, n + 1)[:, None]).astype(np.intp)
+    k = len(uniforms)
+    # floor(U * m) with a 53-bit U is uniform on range(m) to within m/2**53.
+    # int32 halves the row loop's cost against intp; it holds every index of
+    # a batch under 2**31 samples, whose products alone would fill 80 GB
+    draws = (uniforms * np.arange(n - k + 1, n + 1)[:, None]).astype(np.int32)
     for c in range(1, k):
         row = draws[c]
         row[(draws[:c] == row).any(axis=0)] = n - k + c
     return draws
+
+
+def _block_inputs(rng: np.random.Generator, products: np.ndarray, k: int,
+                  K_iters: int, eta_1: float):
+    """Per ``_BLOCK`` of iterations: the first iteration's index, the step
+    sizes, the minibatch sums of ``products`` and the scaled Langevin noise,
+    as lists.
+
+    Each block draws its (k, m) uniforms, unless ``k`` covers the batch,
+    and then its (m, 2) normals; the uniforms of a ``_SLAB`` of blocks are
+    turned into indices in one pass, then gathered block by block.
+    """
+    n = len(products)
+    full = products.sum(axis=0).tolist() if k == n else None
+    for slab in range(0, K_iters, _SLAB):
+        end = min(slab + _SLAB, K_iters)
+        bounds = [(start, min(start + _BLOCK, end))
+                  for start in range(slab, end, _BLOCK)]
+        uniforms = np.empty((k, end - slab)) if full is None else None
+        normals = []
+        for start, stop in bounds:
+            if full is None:
+                uniforms[:, start - slab:stop - slab] = rng.random((k, stop - start))
+            normals.append(rng.standard_normal((stop - start, 2)))
+        if full is None:
+            draws = _draw_minibatches(uniforms, n)
+        for (start, stop), z in zip(bounds, normals):
+            etas = eta_1 / np.arange(start + 1, stop + 1)
+            if full is None:
+                # the same (k, m, 5) gather as products[cols], at a fraction
+                # of fancy indexing's cost; summed in the same order
+                cols = draws[:, start - slab:stop - slab]
+                sums = np.take(products, cols, axis=0).sum(axis=0).tolist()
+            else:
+                sums = [full] * (stop - start)
+            yield start, etas.tolist(), sums, (z * np.sqrt(etas)[:, None]).tolist()
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -259,8 +303,10 @@ def sgld_run(
     value and samples K_L only.  Deterministic given ``hyper.seed``.
 
     Minibatch gradients come from sums of the pre-scaled ``_products``;
-    indices and noise are drawn ``_BLOCK`` iterations at a time, and the
-    chain itself steps on plain floats.
+    indices and noise are drawn ``_BLOCK`` iterations at a time, index
+    collisions are resolved ``_SLAB`` iterations at a time, and the chain
+    itself steps on plain floats.  A chain that leaves the positive floats
+    raises ``ValueError``.
     """
     rng = np.random.default_rng(hyper.seed)
     n_total = len(batch)
@@ -271,7 +317,6 @@ def sgld_run(
         products = _products(batch) * (n_total / (n_mb * hyper.sigma_sq))
     if not np.isfinite(products).all():
         raise ValueError("observations too large: the likelihood sums overflow")
-    full_sums = products.sum(axis=0).tolist() if n_mb == n_total else None
 
     m_K, m_T = (float(m) for m in prior.mean)
     var = prior.variance
@@ -286,35 +331,34 @@ def sgld_run(
 
     burn, max_drift = hyper.burn_in_c, hyper.max_drift
     samples = np.empty((hyper.K_iters - burn, 2))
-    for start in range(0, hyper.K_iters, _BLOCK):
-        stop = min(start + _BLOCK, hyper.K_iters)
-        etas = hyper.eta_1 / np.arange(start + 1, stop + 1)
-        if full_sums is None:
-            draws = _draw_minibatches(rng, n_total, n_mb, stop - start)
-            sums = products[draws].sum(axis=0).tolist()
-        else:
-            sums = [full_sums] * (stop - start)
-        noise = (rng.standard_normal((stop - start, 2))
-                 * np.sqrt(etas)[:, None]).tolist()
-        chain = []
-        for eta, s, (z_K, z_T) in zip(etas.tolist(), sums, noise):
-            g_K, g_T = _lik_grad(K, T, *s)
-            # chain rule to log space plus the log-volume term of the transform
-            d_K = 0.5 * eta * (K * ((m_K - K) / var + g_K) + 1.0)
-            d_T = 0.5 * eta * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
-            norm = math.hypot(d_K, d_T)
-            if norm > max_drift:
-                d_K *= max_drift / norm
-                d_T *= max_drift / norm
-            phi_K += d_K + z_K
-            K = math.exp(phi_K)
-            if free_T:
-                phi_T += d_T + z_T
-                T = math.exp(phi_T)
-            chain.append((K, T))
-        lo = max(start, burn)
-        if lo < stop:
-            samples[lo - burn:stop - burn] = chain[lo - start:]
+    try:
+        for start, etas, sums, noise in _block_inputs(
+                rng, products, n_mb, hyper.K_iters, hyper.eta_1):
+            chain = []
+            for eta, s, (z_K, z_T) in zip(etas, sums, noise):
+                g_K, g_T = _lik_grad(K, T, *s)
+                # chain rule to log space plus the log-volume term of the transform
+                d_K = 0.5 * eta * (K * ((m_K - K) / var + g_K) + 1.0)
+                d_T = 0.5 * eta * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
+                norm = math.hypot(d_K, d_T)
+                if norm > max_drift:
+                    d_K *= max_drift / norm
+                    d_T *= max_drift / norm
+                phi_K += d_K + z_K
+                K = math.exp(phi_K)
+                if free_T:
+                    phi_T += d_T + z_T
+                    T = math.exp(phi_T)
+                chain.append((K, T))
+            lo, stop = max(start, burn), start + len(chain)
+            if lo < stop:
+                samples[lo - burn:stop - burn] = chain[lo - start:]
+    except (OverflowError, ZeroDivisionError):
+        # exp() overflowed, or T_L underflowed to 0 and _lik_grad divided by it
+        raise ValueError(_DIVERGED) from None
+    # a chain that underflowed to 0 or went NaN raises nothing on the way
+    if not (np.isfinite(samples).all() and (samples > 0).all()):
+        raise ValueError(_DIVERGED)
 
     est = posterior_summary(samples)
     est.low_confidence = fix_lag is None and not _identifiability(batch)

@@ -41,6 +41,7 @@ __all__ = [
     "run_closed_loop",
     "emit_outputs",
     "estimate_record",
+    "json_margins",
     "default_scenario",
 ]
 
@@ -437,6 +438,12 @@ def estimate_record(e: PosteriorEstimate) -> dict:
     }
 
 
+def json_margins(margins) -> list:
+    """Stability margins for strict JSON: a non-finite margin, which only an
+    overflowing configuration gives, is written as null."""
+    return [m if math.isfinite(m) else None for m in margins]
+
+
 def _estimates_jsonl(report: RunReport, path) -> None:
     with open(path, "w") as fh:
         for rec in report.windows:
@@ -461,7 +468,7 @@ def _decisions_jsonl(report: RunReport, path) -> None:
                 "anomaly": d.anomaly,
                 "action": d.action.value,
                 "applied": rec.applied,
-                "margins": None if v is None else list(v.margins),
+                "margins": None if v is None else json_margins(v.margins),
                 "locally_stable": None if v is None else v.locally_stable,
                 "string_stable": None if v is None else v.string_stable,
                 "rationale": d.rationale,
@@ -471,7 +478,7 @@ def _decisions_jsonl(report: RunReport, path) -> None:
                     "T_L_nominal": d.new_config.T_L_nominal,
                     "K_L_nominal": d.new_config.K_L_nominal,
                 },
-            }) + "\n")
+            }, allow_nan=False) + "\n")
 
 
 def _estimate_timeline_csv(report: RunReport, path) -> None:

@@ -155,11 +155,13 @@ def stability_region(
     if param2 == "tau_star":
         valid &= g2 > 0
 
-    local, string = _margin_arrays(
-        vals["k_s"], vals["k_v"], vals["k_a"], vals["tau_star"],
-        fixed.T_L_bounds[0], fixed.T_L_bounds[1],
-        fixed.K_L_bounds[0], fixed.K_L_bounds[1],
-    )
+    # huge fixed gains overflow to inf/NaN margins, which fail the verdicts
+    with np.errstate(over="ignore", invalid="ignore"):
+        local, string = _margin_arrays(
+            vals["k_s"], vals["k_v"], vals["k_a"], vals["tau_star"],
+            fixed.T_L_bounds[0], fixed.T_L_bounds[1],
+            fixed.K_L_bounds[0], fixed.K_L_bounds[1],
+        )
     margins = np.stack(
         [np.broadcast_to(m, g1.shape) for m in local + string], axis=-1
     ).astype(float)

@@ -2,6 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,19 @@ CONFIG_VALUES = st.one_of(
     st.sampled_from(ODD_VALUES),
     st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
 )
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict
+    parsers do."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+DIVERGING = ("sgld.eta_1 = 1e6", "sgld.max_drift = 1e6")
 
 
 def stability_exit_code(cfg, values):
@@ -160,16 +177,21 @@ class TestConfigHoles:
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("controller.k_v = 1e200\n")
         assert main(["stability", "--config", str(cfg)]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = strict_json(capsys.readouterr().out)
         assert out["string_stable"] is False
-        assert np.isnan(out["string_margins"][2])
+        assert out["string_margins"][2] is None  # NaN, written as null
 
     def test_overflowing_margins_in_closed_loop(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("controller.k_v = 1e200\nsgld.K_iters = 100\n")
+        run = tmp_path / "run"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", "--config", str(cfg),
-                         "--out", str(tmp_path / "run")]) == 0
+                         "--out", str(run)]) == 0
+        lines = (run / "decisions.jsonl").read_text().splitlines()
+        margins = [strict_json(line)["margins"] for line in lines]
+        assert len(margins) == 30
+        assert all(m is not None and m[-1] is None for m in margins)
 
     @pytest.mark.parametrize("key", CONFIG_KEYS)
     def test_each_key_with_odd_values_exits_0_or_2(self, cfg_dir, key):
@@ -201,6 +223,21 @@ class TestCliStability:
         with open(out_csv, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 121
+
+    def test_sweep_with_overflowing_gain_prints_no_warning(self, tmp_path):
+        # in a fresh interpreter, so numpy's warnings reach stderr as a user
+        # would see them rather than pytest's warning filters
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("controller.k_v = 1e200\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfmonitor.cli", "stability", "--config",
+             str(cfg), "--sweep", "k_s", "k_a", "--range", "0:1:3", "0:1:3",
+             "--out", str(tmp_path / "region.csv")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_sweep_without_out_is_config_error(self):
         assert main(["stability", "--sweep", "k_s", "k_v"]) == 2
@@ -279,6 +316,15 @@ class TestCliEstimate:
         assert main(["estimate", str(log)]) == 2
         assert "too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", DIVERGING)
+    def test_diverging_chain_is_config_error(self, tmp_path, capsys, line):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["estimate", str(log), "--config", str(cfg)]) == 2
+        assert "reduce sgld.eta_1 or sgld.max_drift" in capsys.readouterr().err
+
     def test_malformed_log_is_config_error(self, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("time,accel\n0,0\n0.01,0\n0.02,0\n")
@@ -343,6 +389,15 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
         assert f"{path}: non-finite value in row 3001" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", DIVERGING)
+    def test_diverging_chain_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\nsgld.K_iters = 300\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "reduce sgld.eta_1 or sgld.max_drift" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_collision_exit_code(self, tmp_path):

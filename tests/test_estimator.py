@@ -60,7 +60,7 @@ def reference_steps(batch, prior, hyper, samples, fix_lag=None):
     idx, z = [], []
     for start in range(0, hyper.K_iters, _BLOCK):
         m = min(_BLOCK, hyper.K_iters - start)
-        idx += (list(_draw_minibatches(rng, n, n_mb, m).T) if n_mb < n
+        idx += (list(_draw_minibatches(rng.random((n_mb, m)), n).T) if n_mb < n
                 else [np.arange(n)] * m)
         z += list(rng.standard_normal((m, 2)))
     predicted = []
@@ -80,6 +80,53 @@ def reference_steps(batch, prior, hyper, samples, fix_lag=None):
             drift *= hyper.max_drift / norm
         predicted.append(theta * np.exp(drift + noise))
     return np.array(predicted)
+
+
+def block_reference(batch, prior, hyper, fix_lag=None):
+    """sgld_run's samples as the sampler computed them one _BLOCK at a time:
+    per block, Floyd's algorithm on that block's uniforms alone, a
+    fancy-index gather of the products, then the noise and the chain.  The
+    sampler resolves collisions over slabs of blocks and gathers with
+    np.take; it must reproduce these samples bit for bit."""
+    rng = np.random.default_rng(hyper.seed)
+    n = len(batch)
+    k = min(hyper.minibatch_n, n)
+    products = _products(batch) * (n / (k * hyper.sigma_sq))
+    (m_K, m_T), var = prior.mean, prior.variance
+    K, T = (m_K if m_K > 0 else 1.0), (m_T if m_T > 0 else 0.3)
+    if fix_lag is not None:
+        T = fix_lag
+    phi_K, phi_T = math.log(K), math.log(T)
+    chain = []
+    for start in range(0, hyper.K_iters, _BLOCK):
+        m = min(_BLOCK, hyper.K_iters - start)
+        etas = hyper.eta_1 / np.arange(start + 1, start + m + 1)
+        if k < n:
+            draws = (rng.random((k, m))
+                     * np.arange(n - k + 1, n + 1)[:, None]).astype(np.intp)
+            for c in range(1, k):
+                row = draws[c]
+                row[(draws[:c] == row).any(axis=0)] = n - k + c
+            sums = products[draws].sum(axis=0).tolist()
+        else:
+            sums = [products.sum(axis=0).tolist()] * m
+        noise = (rng.standard_normal((m, 2)) * np.sqrt(etas)[:, None]).tolist()
+        for eta, s, (z_K, z_T) in zip(etas.tolist(), sums, noise):
+            g_K, g_T = _lik_grad(K, T, *s)
+            d_K = 0.5 * eta * (K * ((m_K - K) / var + g_K) + 1.0)
+            d_T = (0.5 * eta * (T * ((m_T - T) / var + g_T) + 1.0)
+                   if fix_lag is None else 0.0)
+            norm = math.hypot(d_K, d_T)
+            if norm > hyper.max_drift:
+                d_K *= hyper.max_drift / norm
+                d_T *= hyper.max_drift / norm
+            phi_K += d_K + z_K
+            K = math.exp(phi_K)
+            if fix_lag is None:
+                phi_T += d_T + z_T
+                T = math.exp(phi_T)
+            chain.append((K, T))
+    return np.array(chain[hyper.burn_in_c:])
 
 
 class TestObservationBatch:
@@ -185,7 +232,7 @@ class TestGradients:
         k = data.draw(st.integers(2, n), label="k")  # a batch holds >= 2
         rng = np.random.default_rng(seed)
         a, u, j = rng.standard_normal((3, n))
-        idx = _draw_minibatches(rng, n, k, 1)[:, 0]
+        idx = _draw_minibatches(rng.random((k, 1)), n)[:, 0]
         sigma_sq = 0.01
         # the sampler's path: pre-scaled per-sample products, gathered and summed
         products = _products(ObservationBatch(a, u, j)) * (n / (k * sigma_sq))
@@ -209,7 +256,7 @@ class TestGradients:
 class TestMinibatchDraws:
     @pytest.mark.parametrize("n,k", [(1, 1), (7, 7), (50, 1), (50, 8), (40, 32)])
     def test_distinct_in_range(self, n, k):
-        draws = _draw_minibatches(np.random.default_rng(0), n, k, 300)
+        draws = _draw_minibatches(np.random.default_rng(0).random((k, 300)), n)
         assert draws.shape == (k, 300)
         assert draws.min() >= 0 and draws.max() < n
         assert all(len(set(col)) == k for col in draws.T.tolist())
@@ -217,7 +264,7 @@ class TestMinibatchDraws:
     @pytest.mark.parametrize("n,k", [(50, 8), (40, 32)])
     def test_inclusion_frequency_chi_square(self, n, k):
         count = 20_000
-        draws = _draw_minibatches(np.random.default_rng(1), n, k, count)
+        draws = _draw_minibatches(np.random.default_rng(1).random((k, count)), n)
         hits = np.bincount(draws.ravel(), minlength=n)
         p = k / n
         # a uniform k-subset's inclusion indicators have variance p(1-p)
@@ -229,7 +276,7 @@ class TestMinibatchDraws:
 
     def test_every_subset_equally_likely(self):
         count = 20_000
-        draws = _draw_minibatches(np.random.default_rng(2), 5, 2, count)
+        draws = _draw_minibatches(np.random.default_rng(2).random((2, count)), 5)
         lo, hi = np.sort(draws, axis=0)
         pairs = np.array([5 * i + m for i in range(5) for m in range(i + 1, 5)])
         counts = np.bincount(5 * lo + hi, minlength=25)[pairs]
@@ -331,6 +378,33 @@ class TestSgldRun:
         est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag=fix_lag)
         ref = reference_steps(batch, WIDE_PRIOR, hyper, est.samples, fix_lag)
         assert est.samples[1:] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("n,minibatch_n,fix_lag,K_iters", [
+        (33, 32, None, 2500),     # n = k + 1: a collision in most columns
+        (40, 32, None, 2500),
+        (200, 32, None, 4097),    # one iteration past four slabs
+        (200, 32, 0.3, 1100),
+        (200, 1, None, 1100),
+        (200, 10**6, None, 1100),  # full batch
+    ])
+    def test_samples_pinned_to_block_reference(self, n, minibatch_n, fix_lag,
+                                               K_iters):
+        batch = synthetic_batch(1.0, 0.3, n=n, seed=n)
+        hyper = SgldHyper(K_iters=K_iters, minibatch_n=minibatch_n, seed=K_iters)
+        est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag=fix_lag)
+        ref = block_reference(batch, WIDE_PRIOR, hyper, fix_lag)
+        assert est.samples.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kwargs,seed", [
+        ({"eta_1": 1e6}, 0),      # ZeroDivisionError: T_L underflowed to 0
+        ({"eta_1": 1e6}, 3),      # OverflowError in exp()
+        ({"max_drift": 1e6}, 0),
+        ({"eta_1": 1e4}, 1),      # no exception: NaN samples were kept
+    ])
+    def test_divergence_rejected(self, kwargs, seed):
+        batch = synthetic_batch(1.0, 0.3, n=200, seed=5)
+        with pytest.raises(ValueError, match="reduce sgld.eta_1 or sgld.max_drift"):
+            sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=seed, **kwargs))
 
     def test_memory_flat_in_iterations(self):
         batch = synthetic_batch(1.0, 0.3, n=200, seed=9)
