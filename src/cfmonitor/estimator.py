@@ -238,9 +238,9 @@ def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
 
 def _block_inputs(rng: np.random.Generator, products: np.ndarray, k: int,
                   K_iters: int, eta_1: float):
-    """Per ``_BLOCK`` of iterations: the first iteration's index, the step
-    sizes, the minibatch sums of ``products`` and the scaled Langevin noise,
-    as lists.
+    """Per ``_BLOCK`` of iterations: the first iteration's index, the half
+    step sizes ``eta/2``, the minibatch sums of ``products`` and the scaled
+    Langevin noise, as lists.
 
     Each block draws its (k, m) uniforms, unless ``k`` covers the batch,
     and then its (m, 2) normals; the uniforms of a ``_SLAB`` of blocks are
@@ -269,7 +269,7 @@ def _block_inputs(rng: np.random.Generator, products: np.ndarray, k: int,
                 sums = np.take(products, cols, axis=0).sum(axis=0).tolist()
             else:
                 sums = [full] * (stop - start)
-            yield start, etas.tolist(), sums, (z * np.sqrt(etas)[:, None]).tolist()
+            yield start, (0.5 * etas).tolist(), sums, (z * np.sqrt(etas)[:, None]).tolist()
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -331,28 +331,30 @@ def sgld_run(
 
     burn, max_drift = hyper.burn_in_c, hyper.max_drift
     samples = np.empty((hyper.K_iters - burn, 2))
+    exp, hypot, lik_grad = math.exp, math.hypot, _lik_grad
     try:
-        for start, etas, sums, noise in _block_inputs(
+        for start, half_etas, sums, noise in _block_inputs(
                 rng, products, n_mb, hyper.K_iters, hyper.eta_1):
-            chain = []
-            for eta, s, (z_K, z_T) in zip(etas, sums, noise):
-                g_K, g_T = _lik_grad(K, T, *s)
+            flat = []  # the block's iterates as K, T, K, T, ...
+            for h, (s_ju, s_uu, s_au, s_ja, s_aa), (z_K, z_T) in zip(half_etas, sums, noise):
+                g_K, g_T = lik_grad(K, T, s_ju, s_uu, s_au, s_ja, s_aa)
                 # chain rule to log space plus the log-volume term of the transform
-                d_K = 0.5 * eta * (K * ((m_K - K) / var + g_K) + 1.0)
-                d_T = 0.5 * eta * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
-                norm = math.hypot(d_K, d_T)
+                d_K = h * (K * ((m_K - K) / var + g_K) + 1.0)
+                d_T = h * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
+                norm = hypot(d_K, d_T)
                 if norm > max_drift:
                     d_K *= max_drift / norm
                     d_T *= max_drift / norm
                 phi_K += d_K + z_K
-                K = math.exp(phi_K)
+                K = exp(phi_K)
                 if free_T:
                     phi_T += d_T + z_T
-                    T = math.exp(phi_T)
-                chain.append((K, T))
-            lo, stop = max(start, burn), start + len(chain)
+                    T = exp(phi_T)
+                flat.append(K)
+                flat.append(T)
+            lo, stop = max(start, burn), start + len(flat) // 2
             if lo < stop:
-                samples[lo - burn:stop - burn] = chain[lo - start:]
+                samples[lo - burn:stop - burn].reshape(-1)[:] = flat[2 * (lo - start):]
     except (OverflowError, ZeroDivisionError):
         # exp() overflowed, or T_L underflowed to 0 and _lik_grad divided by it
         raise ValueError(_DIVERGED) from None
@@ -372,8 +374,7 @@ def posterior_summary(samples: np.ndarray) -> PosteriorEstimate:
         raise ValueError("need at least 2 samples")
     mean = samples.mean(axis=0)
     cov = np.cov(samples, rowvar=False)
-    lo = np.quantile(samples, 0.025, axis=0)
-    hi = np.quantile(samples, 0.975, axis=0)
+    lo, hi = np.quantile(samples, [0.025, 0.975], axis=0)
     return PosteriorEstimate(samples, mean, np.atleast_2d(cov),
                              np.column_stack([lo, hi]))
 

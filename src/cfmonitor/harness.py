@@ -89,6 +89,21 @@ class ScenarioConfig:
         if (self.window_length <= 0 or not math.isfinite(steps)
                 or abs(steps - round(steps)) > 1e-9):
             raise ValueError("window_length must be a positive multiple of t_s")
+        # checked here too, so a bad value fails before the run, not in it
+        if not self.prior_variance > 0:
+            raise ValueError("prior_variance must be positive")
+        if not self.rolling_lambda > 0:
+            raise ValueError("rolling_lambda must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        # monitor.apply_decision refuses to shrink a gain, mid-run
+        if self.policy.escalation_choice in (monitor.Escalation.GAINS,
+                                             monitor.Escalation.BOTH):
+            for name, g in zip(("k_s", "k_v", "k_a"), self.policy.gains_escalated):
+                if abs(g) < abs(getattr(self.controller, name)):
+                    raise ValueError(
+                        f"escalated gain {name} = {g:g} is smaller in magnitude "
+                        f"than the controller's {getattr(self.controller, name):g}")
 
 
 @dataclass
@@ -196,7 +211,12 @@ def smooth_acceleration(traj: Trajectory, kernel_width: float) -> Trajectory:
         return Trajectory(traj.time.copy(), traj.position.copy(),
                           traj.speed.copy(), traj.accel.copy())
     t_s = traj.t_s
-    m = max(1, int(math.ceil(3 * kernel_width / t_s)))
+    half = 3 * kernel_width / t_s  # samples each side; inf for a huge width
+    # np.convolve's "same" output is as long as the longer input
+    if not half <= (len(traj) - 1) // 2:
+        raise ValueError(f"smoothing kernel of width {kernel_width:g} s spans "
+                         "more than the trajectory (3 widths each side)")
+    m = max(1, int(math.ceil(half)))
     offsets = np.arange(-m, m + 1) * t_s
     kernel = np.exp(-0.5 * (offsets / kernel_width) ** 2)
     kernel /= kernel.sum()

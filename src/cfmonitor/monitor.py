@@ -154,11 +154,19 @@ def evaluate(
     An anomaly is a boundary crossing relative to the current nominals, or
     a stability violation at the new estimates (the latter takes
     precedence and forces escalation even inside the accepted band).
-    Low-confidence estimates are never acted on.
+    Low-confidence estimates are never acted on, and neither are estimates
+    from which no valid configuration can be built.
     """
     rationale: list[str] = []
     if estimate.low_confidence:
         rationale.append("estimate flagged low-confidence; no action")
+        return StrategyDecision(False, None, Action.NONE, current_cfg, rationale)
+    try:
+        candidate = _candidate_config(current_cfg, estimate, policy)
+    except ValueError as exc:
+        rationale.append(
+            f"no valid configuration from estimate (K_L={estimate.K_L:.6g}, "
+            f"T_L={estimate.T_L:.6g}): {exc}; no action")
         return StrategyDecision(False, None, Action.NONE, current_cfg, rationale)
 
     baseline = (current_cfg.K_L_nominal, current_cfg.T_L_nominal)
@@ -170,7 +178,6 @@ def evaluate(
             + f" left the accepted band around nominals {baseline}"
         )
 
-    candidate = _candidate_config(current_cfg, estimate, policy)
     verdict = stability.assess(candidate)
     stable = verdict.locally_stable and verdict.string_stable
     if not stable:

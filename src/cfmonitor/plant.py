@@ -203,14 +203,47 @@ def state_vector(
     return ds, dv, ego.accel
 
 
+def _control_law(cfg: ControllerConfig):
+    """``(ds, dv, a) -> u``: gain dot state, saturated to [u_min, u_max]."""
+    k_s, k_v, k_a, u_min, u_max = cfg.k_s, cfg.k_v, cfg.k_a, cfg.u_min, cfg.u_max
+    isfinite = math.isfinite
+
+    def law(ds: float, dv: float, a: float) -> float:
+        # three checks, not one on the sum: a sum can overflow where each term is finite
+        if not (isfinite(ds) and isfinite(dv) and isfinite(a)):
+            raise ValueError("non-finite state")
+        u = k_s * ds + k_v * dv + k_a * a
+        # min(max(u, u_min), u_max) without the builtins' call overhead; a
+        # NaN passes through either way
+        return u_max if u > u_max else u_min if u < u_min else u
+    return law
+
+
+def _compensation_law(cfg: ControllerConfig):
+    """``(a, u) -> u_act``: the lower level's pre-compensation, see
+    `actuation_command`."""
+    if cfg.T_L_nominal == cfg.T_L_ref and cfg.K_L_nominal == cfg.K_L_ref:
+        return lambda a, u: u
+    lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
+    gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
+               cfg.comp_gain_max)
+    # gain / K_ref * ((1 - lead) * a + lead * K_ref * u), its left-to-right
+    # products grouped ahead of time: the same floating-point operations
+    g, p, q = gain / cfg.K_L_ref, 1.0 - lead, lead * cfg.K_L_ref
+    return lambda a, u: g * (p * a + q * u)
+
+
+def _jerk_law(params: PlantParams):
+    """``(a, u, eps) -> jerk`` of the first-order actuation dynamics."""
+    T_L, K_L = params.T_L_true, params.K_L_true
+    if T_L <= 0:
+        raise ValueError("T_L_true must be positive")
+    return lambda a, u, eps: (-a + K_L * u) / T_L + eps
+
+
 def control_command(state: tuple[float, float, float], cfg: ControllerConfig) -> float:
     """Demanded acceleration: gain dot state, saturated to [u_min, u_max]."""
-    ds, dv, a = state
-    # three checks, not one on the sum: a sum can overflow where each term is finite
-    if not (math.isfinite(ds) and math.isfinite(dv) and math.isfinite(a)):
-        raise ValueError("non-finite state")
-    u = cfg.k_s * ds + cfg.k_v * dv + cfg.k_a * a
-    return min(max(u, cfg.u_min), cfg.u_max)
+    return _control_law(cfg)(*state)
 
 
 def actuation_command(a: float, u: float, cfg: ControllerConfig) -> float:
@@ -223,19 +256,12 @@ def actuation_command(a: float, u: float, cfg: ControllerConfig) -> float:
     correction at ``comp_gain_max``, because an aggressive inverse amplifies
     measurement noise and discretization error by exactly those ratios.
     """
-    if cfg.T_L_nominal == cfg.T_L_ref and cfg.K_L_nominal == cfg.K_L_ref:
-        return u
-    lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
-    gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
-               cfg.comp_gain_max)
-    return gain / cfg.K_L_ref * ((1.0 - lead) * a + lead * cfg.K_L_ref * u)
+    return _compensation_law(cfg)(a, u)
 
 
 def glvd_jerk(a: float, u: float, params: PlantParams, eps: float = 0.0) -> float:
     """Realized jerk of the first-order actuation dynamics."""
-    if params.T_L_true <= 0:
-        raise ValueError("T_L_true must be positive")
-    return (-a + params.K_L_true * u) / params.T_L_true + eps
+    return _jerk_law(params)(a, u, eps)
 
 
 def step(
@@ -323,6 +349,7 @@ def _simulate_inner(
     draws = rng.standard_normal(n).tolist()
     pos, spd, acc, jrk, dem = [], [], [], [], []
     t_s, delta, tau = cfg.t_s, cfg.delta_star, cfg.tau_star
+    control, compensate = _control_law(cfg), _compensation_law(cfg)
     x, v, a, u_act = init.position, init.speed, init.accel, init.demanded_accel
     # schedule entries [0, k) are active (the prefix rule); params is the last
     # of them, re-evaluated only once the next switch time is reached
@@ -335,20 +362,23 @@ def _simulate_inner(
             while k < n_sched and schedule[k][0] <= t + 1e-12:
                 k += 1
             params = schedule[max(k, 1) - 1][1]
+            jerk_of, sigma = _jerk_law(params), params.sigma_eps
             next_switch = schedule[k][0] if k < n_sched else math.inf
         gap = lx[j] - x  # state_vector, on floats
         if gap <= 0:
             collision_time = t
             break
-        u = control_command((gap - (delta + tau * v), lv[j] - v, a), cfg)
-        u_act = actuation_command(a, u, cfg)
-        jerk = glvd_jerk(a, u_act, params, params.sigma_eps * draws[j])
+        u = control(gap - (delta + tau * v), lv[j] - v, a)
+        u_act = compensate(a, u)
+        jerk = jerk_of(a, u_act, sigma * draws[j])
         pos.append(x)
         spd.append(v)
         acc.append(a)
         jrk.append(jerk)
         dem.append(u_act)
-        x, v, a = x + t_s * v, max(0.0, v + t_s * a), a + t_s * jerk
+        # max(0.0, v + t_s * a) without the builtin's call overhead
+        v_next = v + t_s * a
+        x, v, a = x + t_s * v, v_next if v_next > 0.0 else 0.0, a + t_s * jerk
     m = len(pos)
     return SimulationResult(
         time=np.asarray(leader.time[start:start + m], dtype=float).copy(),

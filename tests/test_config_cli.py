@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cfmonitor.cli import main
 from cfmonitor.config import ConfigError, parse_config_file, scenario_from_config
@@ -20,6 +20,7 @@ from cfmonitor.harness import (
     synthetic_leader,
 )
 from cfmonitor.monitor import Escalation
+from cfmonitor.plant import Trajectory
 
 # every key scenario_from_config reads
 CONFIG_KEYS = (
@@ -165,6 +166,12 @@ class TestConfigHoles:
         ("sgld.eta_1 = NaN", "sgld.eta_1: expected a finite number"),
         # the window's step count overflows to inf
         ("controller.t_s = 5e-324", "window_length must be a positive multiple"),
+        # these four used to pass here and stop a closed-loop run midway
+        ("prior.variance = 0", "prior_variance must be positive"),
+        ("prior.rolling_lambda = -1", "rolling_lambda must be positive"),
+        ("seed = -1", "seed must be non-negative"),
+        ("monitor.escalation = gains\ncontroller.k_s = 5",
+         "escalated gain k_s = 3 is smaller in magnitude than the controller's 5"),
     ])
     def test_rejected_with_exit_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "scenario.cfg"
@@ -400,6 +407,25 @@ class TestCliSimulate:
         assert "reduce sgld.eta_1 or sgld.max_drift" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_estimate_without_valid_config_is_not_acted_on(self, tmp_path):
+        # seed 1 at eta_1 = 100: window 6's posterior mean is K_L = 4e-6,
+        # below the 1e-3 floor of the bounds the monitor would re-center;
+        # that used to end the run with "K_L_nominal outside K_L_bounds"
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sgld.eta_1 = 100\n")
+        run = tmp_path / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(cfg), "--seed", "1",
+                         "--out", str(run)]) == 0
+        lines = [strict_json(line) for line in
+                 (run / "decisions.jsonl").read_text().splitlines()]
+        skipped = [d for d in lines
+                   if d["rationale"][0].startswith("no valid configuration")]
+        assert skipped and skipped[0]["window"] == 6
+        assert "K_L=4.00525e-06" in skipped[0]["rationale"][0]
+        assert all(d["action"] == "none" and not d["anomaly"]
+                   and d["margins"] is None for d in skipped)
+
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(
@@ -414,3 +440,143 @@ class TestCliSimulate:
         code = main(["simulate", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "run")])
         assert code == 3
+
+
+# messages of the errors a run can end with after its configuration was
+# accepted; each names what to change
+IN_RUN_ERRORS = (
+    "reduce sgld.eta_1 or sgld.max_drift",  # a diverging chain
+    "the likelihood sums overflow",
+    "the explicit Euler step would diverge",
+    "outside trajectory span",
+    "non-uniform sampling",
+    "smoothing kernel",
+)
+# keys that set how much work a run does draw from bounded values, so one
+# fuzzed run takes tens of milliseconds; the rest draw CONFIG_VALUES
+BOUNDED_KEYS = ("sgld.K_iters", "sgld.eta_1", "window.length",
+                "leader.source", "leader.smoothing_width")
+FREE_KEYS = tuple(k for k in CONFIG_KEYS if k not in BOUNDED_KEYS)
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI call; argparse's own
+    exits count as exit codes.  Any other exception escapes, as it would
+    end the command with a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def rejected_up_front(cfg):
+    try:
+        scenario_from_config(parse_config_file(cfg))
+    except ConfigError:
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 12 s leader (the default's first 12 s), a 400-row log, a small
+    valid config, a malformed config and paths that cannot be read or
+    written."""
+    d = tmp_path_factory.mktemp("fuzz")
+    full = synthetic_leader(default_leader_spec())
+    n = 1201
+    save_trajectory(Trajectory(full.time[:n], full.position[:n], full.speed[:n],
+                               full.accel[:n]), d / "leader.csv")
+    TestCliEstimate()._write_log(d / "log.csv")
+    (d / "small.cfg").write_text(f"leader.source = {d / 'leader.csv'}\n"
+                                 "plant.switch_time = 6\nsgld.K_iters = 100\n")
+    (d / "bad.cfg").write_text("this is not a config\n")
+    (d / "file").write_text("")
+    return d
+
+
+RUN_VALUES = st.fixed_dictionaries({
+    # a file in fuzz_files, or the built-in 60 s leader
+    "leader.source": st.sampled_from(["leader.csv", "synthetic", "missing.csv"]),
+    "plant.switch_time": st.sampled_from([6, None, 20]),
+    "sgld.K_iters": st.integers(50, 300),
+    # 1e-3 to 1e6: small steps, the default 0.1, and wild ones
+    "sgld.eta_1": st.integers(-30, 60).map(lambda e: 10.0 ** (e / 10)),
+}, optional={
+    "window.length": st.sampled_from([1, 2, 3, 0.015, 0, -1]),
+    "leader.smoothing_width": st.sampled_from([0, 0.5, 3, 1e6, 1e200]),
+    # valid escalation choices, and spacing gains on both sides of the
+    # escalated 3.0, which CONFIG_VALUES seldom give
+    "monitor.escalation": st.sampled_from([e.value for e in Escalation]),
+    "controller.k_s": st.sampled_from([0.5, 1.5, 5.0]),
+}).flatmap(lambda bounded: st.dictionaries(
+    st.sampled_from(FREE_KEYS), CONFIG_VALUES, max_size=3,
+).map(lambda free: {**bounded, **free}))
+# this run used to end with "K_L_nominal outside K_L_bounds": an estimate
+# from which no valid configuration can be built stopped it
+WILD_ETA = {"leader.source": "leader.csv", "plant.switch_time": 6,
+            "sgld.K_iters": 100, "sgld.eta_1": 100.0, "seed": 0}
+
+
+class TestRunFuzz:
+    """``simulate`` and ``estimate`` under fuzzed configs, and every
+    subcommand under fuzzed arguments: each call ends in exit code 0, 2, 3
+    or 4 and never in a traceback."""
+
+    @staticmethod
+    def check_config_run(files, values, argv):
+        if values["leader.source"] != "synthetic":
+            values = {**values, "leader.source": files / values["leader.source"]}
+        cfg = files / "run.cfg"
+        # strings (CONFIG_VALUES, paths) are written as they are, the rest as JSON
+        cfg.write_text("".join(
+            f"{k} = {v if isinstance(v, (str, Path)) else json.dumps(v)}\n"
+            for k, v in values.items()))
+        code, err = run_cli([*argv, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4), err
+        if code == 2:
+            # an accepted configuration fails only for a reason that says
+            # what to change
+            assert rejected_up_front(cfg) or any(m in err for m in IN_RUN_ERRORS), err
+
+    @given(values=RUN_VALUES)
+    @example(values=WILD_ETA)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_simulate(self, fuzz_files, values):
+        self.check_config_run(fuzz_files, values,
+                              ["simulate", "--out", str(fuzz_files / "run")])
+
+    @given(values=RUN_VALUES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_estimate(self, fuzz_files, values, seed):
+        self.check_config_run(fuzz_files, values,
+                              ["estimate", str(fuzz_files / "log.csv"), "--seed", str(seed)])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_raw_arguments(self, fuzz_files, data):
+        d = fuzz_files
+        paths = [d / "small.cfg", d / "bad.cfg", d / "missing.cfg", d, d / "file",
+                 d / "file" / "below", d / "out", d / "out.csv", d / "log.csv"]
+        token = st.sampled_from([
+            "simulate", "estimate", "stability", "synth", "--config", "--seed",
+            "--out", "--no-strategy", "--window", "--sweep", "--range", "-h",
+            "k_s", "k_v", "k_a", "tau_star", "gain", "0", "1", "-1", "2", "0.015",
+            "nan", "1e400", "0:1:3", "0:1", "0:1:-1", "a:b:c", "",
+            *map(str, paths),
+        ])
+        command = data.draw(st.sampled_from(["simulate", "estimate", "stability",
+                                             "synth", "bogus"]))
+        argv = [command, *data.draw(st.lists(token, max_size=7))]
+        if command in ("simulate", "estimate"):
+            # the default scenario runs 30 windows of 4000 iterations; a
+            # later --config in the drawn tokens replaces this one
+            argv[1:1] = ["--config", str(d / "small.cfg")]
+        code, err = run_cli(argv)
+        assert code in (0, 2, 3, 4), (argv, err)

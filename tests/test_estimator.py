@@ -427,6 +427,14 @@ class TestSgldRun:
 
 
 class TestPosteriorSummary:
+    @pytest.mark.parametrize("n", [2, 3, 1600, 1601])
+    def test_credible_equals_separate_quantiles(self, n):
+        samples = np.random.default_rng(n).standard_normal((n, 2)) * [0.1, 0.05] + [1.0, 0.3]
+        lo = np.quantile(samples, 0.025, axis=0)
+        hi = np.quantile(samples, 0.975, axis=0)
+        credible = posterior_summary(samples).credible
+        assert credible.tobytes() == np.column_stack([lo, hi]).tobytes()
+
     def test_degenerate_samples(self):
         s = np.tile([1.2, 0.4], (10, 1))
         est = posterior_summary(s)

@@ -148,6 +148,17 @@ class TestSmoothing:
         with pytest.raises(ValueError):
             smooth_acceleration(traj, -0.1)
 
+    @pytest.mark.parametrize("width", [0.34, 1e6, 1e200])
+    def test_kernel_longer_than_trajectory_rejected(self, width):
+        # 201 samples hold a kernel of at most 100 samples each side; a
+        # longer one made the convolution longer than the trajectory, and a
+        # huge width overflowed or allocated its kernel first
+        traj = synthetic_leader(SyntheticLeaderSpec(
+            segments=(LeaderSegment(2.0, 0.0),), v0=10.0))
+        assert len(smooth_acceleration(traj, 0.3)) == len(traj)
+        with pytest.raises(ValueError, match="smoothing kernel"):
+            smooth_acceleration(traj, width)
+
 
 class TestScenarioConfig:
     def test_requires_exactly_one_leader_source(self):

@@ -89,6 +89,17 @@ class TestEvaluate:
         assert d.action is Action.NONE
         assert any("low-confidence" in r for r in d.rationale)
 
+    def test_estimate_without_valid_config_never_acts(self):
+        # K_L = 4e-6 lies below the 1e-3 floor of the re-centered bounds
+        cfg = nominal_config()
+        d = evaluate(estimate(4e-6, 20.0, half_width=1e-6), cfg, POLICY)
+        assert not d.anomaly
+        assert d.action is Action.NONE
+        assert d.stability_verdict is None
+        assert d.new_config is cfg
+        assert d.rationale == ["no valid configuration from estimate (K_L=4e-06, "
+                               "T_L=20): K_L_nominal outside K_L_bounds; no action"]
+
     def test_stable_drift_updates_lower_level_only(self):
         cfg = nominal_config()
         est = estimate(0.75, 0.32)  # gain left the band; dynamics still stable
@@ -164,7 +175,8 @@ class TestEvaluate:
 
     def test_action_none_iff_no_anomaly(self):
         for est in (estimate(1.0, 0.3), estimate(0.64, 1.33),
-                    estimate(0.5, 1.5, low_confidence=True)):
+                    estimate(0.5, 1.5, low_confidence=True),
+                    estimate(4e-6, 20.0, half_width=1e-6)):
             d = evaluate(est, nominal_config(), POLICY)
             assert d.anomaly == (d.action is not Action.NONE)
 

@@ -424,6 +424,30 @@ class TestSimulateMatchesStepLoop:
         assert res.collision_time is not None and 0 < len(res) < len(leader)
         assert res.final_state is None
 
+    @pytest.mark.parametrize("kwargs", [
+        # lead 0.39/0.1 capped at 1.5, gain 2.7/0.8 capped at 3
+        dict(T_L_nominal=0.39, T_L_ref=0.1, K_L_nominal=0.8, K_L_ref=2.7,
+             comp_lead_max=1.5, comp_gain_max=3.0),
+        # references other than 1, so that no factor of the product is exact
+        dict(T_L_nominal=0.25, T_L_ref=0.3, K_L_nominal=0.9, K_L_ref=0.9),
+        dict(K_L_nominal=0.75, K_L_ref=0.9),
+    ])
+    def test_prebuilt_compensation(self, kwargs):
+        cfg = ControllerConfig(**kwargs)
+        leader = synthetic_leader(BRAKING)
+        self.check(leader, cfg, [(0.0, self.NOISY)],
+                   equilibrium_follower(leader.sample(0), cfg))
+        # the compensation written out as one expression, left to right; a
+        # regrouped product differs from it in the last bits
+        lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
+        gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
+                   cfg.comp_gain_max)
+        pairs = np.random.default_rng(0).uniform(-5.0, 5.0, (500, 2)).tolist()
+        got = [actuation_command(a, u, cfg) for a, u in pairs]
+        want = [gain / cfg.K_L_ref * ((1.0 - lead) * a + lead * cfg.K_L_ref * u)
+                for a, u in pairs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 class TestEulerStabilityGuard:
     @pytest.mark.parametrize("t_l", [0.005, 0.004, 0.001])
