@@ -48,7 +48,7 @@ def parse_config_file(path) -> dict[str, object]:
 def _pop_float(values: dict, key: str, default: float) -> float:
     v = values.pop(key, default)
     try:
-        f = float(v)
+        f = math.nan if isinstance(v, bool) else float(v)
     except (TypeError, ValueError, OverflowError):
         f = math.nan  # reported below, like any non-finite value
     if not math.isfinite(f):

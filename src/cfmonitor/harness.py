@@ -11,6 +11,9 @@ import csv
 import json
 import math
 import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -341,7 +344,9 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                 w, float(piece.time[0]), float(piece.time[0]) + scenario.window_length,
                 prior.mean, prior.variance, estimate, decision, applied,
             ))
-            if not estimate.low_confidence:
+            # no verdict: the estimate is low-confidence or no valid
+            # configuration could be built from it, so it seeds no prior
+            if decision.stability_verdict is not None:
                 prior = update_prior(estimate, scenario.rolling_lambda)
             w += 1
             max_step = scenario.policy.tau_star_slew * scenario.window_length
@@ -414,34 +419,90 @@ def _min_gap(leader: Trajectory, follower: plant.SimulationResult) -> float:
 _EMIT_BLOCK = 512
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_blocks(sinks, tables, columns, rows, b_lo, b_hi) -> None:
+    """Write rows ``[b_lo, b_hi)`` of each table to its sink, one block at a
+    time; ``b_lo`` is a multiple of `_EMIT_BLOCK`.  A column shared by
+    several tables (the same array object) is formatted once per block."""
+    for b0 in range(b_lo, b_hi, _EMIT_BLOCK):
+        live = [(fh, cols) for fh, n, (_, _, cols) in zip(sinks, rows, tables)
+                if n > b0]
+        keys = {id(col) for _, cols in live for col in cols}
+        cells = {key: list(map(repr, columns[key][b0:b0 + _EMIT_BLOCK].tolist()))
+                 for key in keys}
+        for fh, cols in live:
+            # zip stops at the file's shortest column
+            lines = zip(*(cells[id(col)] for col in cols))
+            fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+
+
 def _write_float_csvs(tables) -> None:
     """Write CSV files of float columns, byte for byte as `csv.writer` does
     with ``repr(float(v))`` cells and ``\\r\\n`` line ends.
 
     ``tables`` holds ``(path, header, columns)``; a file has as many rows
-    as its shortest column.  All files are written in one pass over blocks
-    of rows, and a column shared by several files (the same array object)
-    is formatted once per block."""
+    as its shortest column.  ``repr`` is the cost, so when the platform can
+    fork, two or more CPUs are usable and the rows span two or more blocks,
+    a forked child formats the second half of the blocks of every file into
+    anonymous temporary files in that file's directory while this process
+    writes the first half; the child's halves are then appended."""
     columns = {id(col): np.asarray(col, dtype=float)
                for _, _, cols in tables for col in cols}
     rows = [min(len(col) for col in cols) for _, _, cols in tables]
-    files = []
+    end = max(rows)
+    blocks = -(-end // _EMIT_BLOCK)
+    mid = end
+    files, tails = [], []
+    pid = None
     try:
-        for path, header, _ in tables:
+        # opened before the fork but written after it, so the child's copies
+        # hold no buffered data (os._exit would not flush them anyway)
+        for path, _, _ in tables:
             files.append(open(path, "w", newline=""))
-            files[-1].write(",".join(header) + "\r\n")
-        for b0 in range(0, max(rows), _EMIT_BLOCK):
-            live = [(fh, cols) for fh, n, (_, _, cols) in zip(files, rows, tables)
-                    if n > b0]
-            keys = {id(col) for _, cols in live for col in cols}
-            cells = {key: list(map(repr, columns[key][b0:b0 + _EMIT_BLOCK].tolist()))
-                     for key in keys}
-            for fh, cols in live:
-                # zip stops at the file's shortest column
-                lines = zip(*(cells[id(col)] for col in cols))
-                fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+        if blocks >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
+            for path, _, _ in tables:
+                tails.append(tempfile.TemporaryFile(
+                    "w+", newline="", dir=os.path.dirname(path) or os.curdir))
+            mid = blocks // 2 * _EMIT_BLOCK
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. a process limit: format every row here
+                mid = end
+            if pid == 0:
+                # fork copies only this thread; the child calls no BLAS
+                # routine, whose worker threads it would lack
+                status = 1
+                try:
+                    _format_blocks(tails, tables, columns, rows, mid, end)
+                    for tmp in tails:
+                        tmp.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(",".join(header) + "\r\n")
+        _format_blocks(files, tables, columns, rows, 0, mid)
+        if pid is not None:
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if status:
+                raise OSError(f"the process formatting rows from {mid} on ended "
+                              f"with code {os.waitstatus_to_exitcode(status)}")
+            for fh, tmp in zip(files, tails):
+                tmp.seek(0)
+                fh.flush()  # the bytes are copied past the text layers
+                shutil.copyfileobj(tmp.buffer, fh.buffer)
     finally:
-        for fh in files:
+        if pid is not None:  # this process failed while the child ran
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fh in files + tails:
             fh.close()
 
 

@@ -172,6 +172,9 @@ class TestConfigHoles:
         ("seed = -1", "seed must be non-negative"),
         ("monitor.escalation = gains\ncontroller.k_s = 5",
          "escalated gain k_s = 3 is smaller in magnitude than the controller's 5"),
+        # JSON booleans are not numbers; false used to be read as 0.0
+        ("controller.k_s = true", "controller.k_s: expected a finite number"),
+        ("prior.variance = false", "prior.variance: expected a finite number"),
     ])
     def test_rejected_with_exit_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "scenario.cfg"
@@ -425,6 +428,21 @@ class TestCliSimulate:
         assert "K_L=4.00525e-06" in skipped[0]["rationale"][0]
         assert all(d["action"] == "none" and not d["anomaly"]
                    and d["margins"] is None for d in skipped)
+
+    def test_estimate_without_valid_config_seeds_no_prior(self, tmp_path):
+        # window 6's estimate (K_L = 4e-6) is not acted on; window 7 used to
+        # start from it anyway, with prior mean [4.0e-06, 19.97]
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sgld.eta_1 = 100\n")
+        run = tmp_path / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(cfg), "--seed", "1",
+                         "--out", str(run)]) == 0
+        est = [strict_json(line) for line in
+               (run / "estimates.jsonl").read_text().splitlines()]
+        assert est[6]["posterior_mean"]["K_L"] < 1e-3
+        assert est[7]["prior_mean"] == est[6]["prior_mean"]
+        assert est[7]["prior_variance"] == est[6]["prior_variance"]
 
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

@@ -4,6 +4,7 @@
 import contextlib
 import csv
 import io
+import os
 import re
 import warnings
 
@@ -109,6 +110,125 @@ class TestEmissionMatchesCsvWriter:
                       [traj.time, traj.position, traj.speed, traj.accel], len(traj))
         assert ((tmp_path / "leader.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# the split writer: a forked child formats the second half of the blocks
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the affinity, and a list that gets one entry
+    per fork the writer makes."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def random_report(rows, follower_rows):
+    rng = np.random.default_rng(rows)
+    leader = Trajectory(np.arange(rows) * 0.01, *rng.standard_normal((3, rows)))
+    follower = plant.SimulationResult(leader.time[:follower_rows].copy(),
+                                      *rng.standard_normal((5, follower_rows)))
+    return RunReport(leader, follower, [], 2.0, None, None, 0.0, 0.0, 0.0)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def make_repr_fail(monkeypatch, in_child):
+    """Make the writer's formatter raise in the forked child only, or in
+    this process only."""
+    parent = os.getpid()
+
+    def bad_repr(v):
+        if (os.getpid() != parent) == in_child:
+            raise RuntimeError("formatter failed")
+        return repr(v)
+
+    monkeypatch.setattr(harness, "repr", bad_repr, raising=False)
+
+
+TABLES = {"leader.csv", "follower.csv", "overlay.csv"}
+
+
+class TestSplitWriter:
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                      2 * BLOCK + 1, 3 * BLOCK + 1])
+    def test_bytes_equal_csv_writer(self, tmp_path, forks, rows):
+        report = random_report(rows, rows)
+        emit_outputs(report, tmp_path / "out")
+        assert len(forks) == (rows > BLOCK)
+        (tmp_path / "ref").mkdir()
+        assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
+        assert_no_children()
+
+    @pytest.mark.parametrize("follower_rows", [0, BLOCK + 5])
+    def test_file_ends_before_split(self, tmp_path, forks, follower_rows):
+        # a collision run: the follower and overlay end in the first half
+        report = random_report(4 * BLOCK + 3, follower_rows)
+        emit_outputs(report, tmp_path / "out")
+        assert len(forks) == 1
+        (tmp_path / "ref").mkdir()
+        assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
+        assert set(os.listdir(tmp_path / "out")) >= TABLES
+
+    @pytest.mark.parametrize("no_split", ["one_cpu", "no_fork", "fork_fails"])
+    def test_one_process_same_bytes(self, tmp_path, monkeypatch, forks, no_split):
+        report = random_report(3 * BLOCK + 1, 3 * BLOCK - 2)
+        emit_outputs(report, tmp_path / "split")
+        if no_split == "one_cpu":
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        elif no_split == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+        emit_outputs(report, tmp_path / "one")
+        assert len(forks) == 1
+        for name in TABLES:
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "split" / name).read_bytes()), name
+        assert set(os.listdir(tmp_path / "one")) == set(os.listdir(tmp_path / "split"))
+
+    def test_child_failure_raises_oserror(self, tmp_path, monkeypatch, forks):
+        make_repr_fail(monkeypatch, in_child=True)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match=r"rows from 1024 on ended with code 1"):
+            emit_outputs(random_report(4 * BLOCK, 4 * BLOCK), out)
+        assert len(forks) == 1
+        assert_no_children()
+        assert set(os.listdir(out)) <= TABLES
+
+    def test_child_failure_exits_4(self, tmp_path, capsys, monkeypatch, forks):
+        make_repr_fail(monkeypatch, in_child=True)
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("sgld.K_iters = 50\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "I/O error: failed writing outputs under" in capsys.readouterr().err
+        assert len(forks) == 1
+        assert_no_children()
+        assert set(os.listdir(out)) <= TABLES
+
+    def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks):
+        make_repr_fail(monkeypatch, in_child=False)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            emit_outputs(random_report(4 * BLOCK, 4 * BLOCK), out)
+        assert len(forks) == 1
+        assert_no_children()
+        assert set(os.listdir(out)) <= TABLES
 
 
 # ---------------------------------------------------------------------------
