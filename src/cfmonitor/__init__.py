@@ -6,7 +6,6 @@ via stochastic-gradient Langevin sampling, and monitors local/string
 stability to trigger controller adjustments.
 """
 from .plant import (
-    CollisionError,
     ControllerConfig,
     PlantParams,
     Trajectory,

@@ -28,7 +28,7 @@ from .estimator import (
     update_prior,
 )
 from .monitor import MonitorPolicy, StrategyDecision
-from .plant import ControllerConfig, PlantParams, Trajectory, VehicleState
+from .plant import ControllerConfig, PlantParams, Trajectory
 
 __all__ = [
     "LeaderSegment",
@@ -75,7 +75,6 @@ class ScenarioConfig:
     leader_csv: str | None = None
     leader_spec: SyntheticLeaderSpec | None = None
     smoothing_width: float = 0.0
-    init_follower: VehicleState | None = None  # default: spacing equilibrium
     window_length: float = 2.0
     sgld: SgldHyper = field(default_factory=SgldHyper)
     policy: MonitorPolicy = field(default_factory=MonitorPolicy)
@@ -89,9 +88,11 @@ class ScenarioConfig:
         if (self.leader_csv is None) == (self.leader_spec is None):
             raise ValueError("specify exactly one of leader_csv / leader_spec")
         steps = self.window_length / self.controller.t_s  # inf for a tiny t_s
+        # a window's jerk is a finite difference, which needs two samples
         if (self.window_length <= 0 or not math.isfinite(steps)
-                or abs(steps - round(steps)) > 1e-9):
-            raise ValueError("window_length must be a positive multiple of t_s")
+                or abs(steps - round(steps)) > 1e-9 or round(steps) < 2):
+            raise ValueError("window_length must be a positive multiple of t_s, "
+                             "at least 2 steps")
         # checked here too, so a bad value fails before the run, not in it
         if not self.prior_variance > 0:
             raise ValueError("prior_variance must be positive")
@@ -303,7 +304,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     tau_active = cfg.tau_star  # slew-limited time gap actually driven
     plant.check_schedule(scenario.schedule, leader, cfg.t_s)
 
-    ego = scenario.init_follower or plant.equilibrium_follower(leader.sample(0), cfg)
+    ego = plant.equilibrium_follower(leader.sample(0), cfg)
     plant_rng = np.random.default_rng(scenario.seed)
     win_steps = int(round(scenario.window_length / cfg.t_s))
     n = len(leader)

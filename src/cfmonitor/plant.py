@@ -13,30 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CollisionError",
     "ControllerConfig",
     "PlantParams",
     "VehicleState",
     "TrajectorySample",
     "Trajectory",
     "SimulationResult",
-    "state_vector",
-    "control_command",
-    "actuation_command",
-    "glvd_jerk",
-    "step",
     "check_schedule",
     "simulate",
 ]
-
-
-class CollisionError(RuntimeError):
-    """Gap to the leader became non-positive."""
-
-    def __init__(self, time: float | None = None):
-        self.time = time
-        when = "" if time is None else f" at t={time:.3f} s"
-        super().__init__(f"collision: non-positive gap to leader{when}")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -187,100 +172,6 @@ class SimulationResult:
         return len(self.time)
 
 
-def state_vector(
-    ego: VehicleState, leader: TrajectorySample, cfg: ControllerConfig
-) -> tuple[float, float, float]:
-    """Return (spacing deviation, speed difference, acceleration).
-
-    Spacing deviation is gap minus the constant-time-gap target
-    ``delta_star + tau_star * ego.speed``; positive means headway surplus.
-    """
-    gap = leader.position - ego.position
-    if gap <= 0:
-        raise CollisionError(leader.time)
-    ds = gap - (cfg.delta_star + cfg.tau_star * ego.speed)
-    dv = leader.speed - ego.speed
-    return ds, dv, ego.accel
-
-
-def _control_law(cfg: ControllerConfig):
-    """``(ds, dv, a) -> u``: gain dot state, saturated to [u_min, u_max]."""
-    k_s, k_v, k_a, u_min, u_max = cfg.k_s, cfg.k_v, cfg.k_a, cfg.u_min, cfg.u_max
-    isfinite = math.isfinite
-
-    def law(ds: float, dv: float, a: float) -> float:
-        # three checks, not one on the sum: a sum can overflow where each term is finite
-        if not (isfinite(ds) and isfinite(dv) and isfinite(a)):
-            raise ValueError("non-finite state")
-        u = k_s * ds + k_v * dv + k_a * a
-        # min(max(u, u_min), u_max) without the builtins' call overhead; a
-        # NaN passes through either way
-        return u_max if u > u_max else u_min if u < u_min else u
-    return law
-
-
-def _compensation_law(cfg: ControllerConfig):
-    """``(a, u) -> u_act``: the lower level's pre-compensation, see
-    `actuation_command`."""
-    if cfg.T_L_nominal == cfg.T_L_ref and cfg.K_L_nominal == cfg.K_L_ref:
-        return lambda a, u: u
-    lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
-    gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
-               cfg.comp_gain_max)
-    # gain / K_ref * ((1 - lead) * a + lead * K_ref * u), its left-to-right
-    # products grouped ahead of time: the same floating-point operations
-    g, p, q = gain / cfg.K_L_ref, 1.0 - lead, lead * cfg.K_L_ref
-    return lambda a, u: g * (p * a + q * u)
-
-
-def _jerk_law(params: PlantParams):
-    """``(a, u, eps) -> jerk`` of the first-order actuation dynamics."""
-    T_L, K_L = params.T_L_true, params.K_L_true
-    if T_L <= 0:
-        raise ValueError("T_L_true must be positive")
-    return lambda a, u, eps: (-a + K_L * u) / T_L + eps
-
-
-def control_command(state: tuple[float, float, float], cfg: ControllerConfig) -> float:
-    """Demanded acceleration: gain dot state, saturated to [u_min, u_max]."""
-    return _control_law(cfg)(*state)
-
-
-def actuation_command(a: float, u: float, cfg: ControllerConfig) -> float:
-    """Lower-level pre-compensation of the demanded acceleration.
-
-    The lower level inverts its nominal dynamics estimate so the realized
-    response targets the reference first-order behavior.  Identity when the
-    nominal estimates equal the references.  The inversion's authority is
-    bounded: the lag-lead ratio is capped at ``comp_lead_max`` and the gain
-    correction at ``comp_gain_max``, because an aggressive inverse amplifies
-    measurement noise and discretization error by exactly those ratios.
-    """
-    return _compensation_law(cfg)(a, u)
-
-
-def glvd_jerk(a: float, u: float, params: PlantParams, eps: float = 0.0) -> float:
-    """Realized jerk of the first-order actuation dynamics."""
-    return _jerk_law(params)(a, u, eps)
-
-
-def step(
-    ego: VehicleState,
-    leader: TrajectorySample,
-    cfg: ControllerConfig,
-    params: PlantParams,
-    rng_draw: float = 0.0,
-) -> VehicleState:
-    """Advance the follower one Euler step against the current leader sample."""
-    u = control_command(state_vector(ego, leader, cfg), cfg)
-    u_act = actuation_command(ego.accel, u, cfg)
-    jerk = glvd_jerk(ego.accel, u_act, params, params.sigma_eps * rng_draw)
-    accel = ego.accel + cfg.t_s * jerk
-    speed = max(0.0, ego.speed + cfg.t_s * ego.accel)
-    position = ego.position + cfg.t_s * ego.speed
-    return VehicleState(position, speed, accel, u_act)
-
-
 def check_schedule(
     schedule: list[tuple[float, PlantParams]], leader: Trajectory, t_s: float
 ) -> None:
@@ -335,13 +226,16 @@ def _simulate_inner(
     stop: int | None = None,
 ) -> SimulationResult:
     """Step the follower over leader samples [start, stop).  Shared by the
-    one-shot `simulate` and the window-by-window harness loop.
+    one-shot `simulate` and the window-by-window harness loop, and the one
+    place the closed loop is written: spacing state, control law and its
+    saturation, lower-level compensation, the plant's jerk and the explicit
+    Euler update.
 
-    Equal, bit for bit, to a loop of `step` calls fed one
-    ``rng.standard_normal()`` each; the state is held in plain floats and
-    the window's draws are taken in one call, which gives the same stream.
-    Only after a collision does the generator state differ, and both
-    callers stop there."""
+    The state is held in plain floats; each step takes one standard-normal
+    draw, all of a window's taken in one call, which is the stream a
+    scalar ``rng.standard_normal()`` per step gives.  Only after a
+    collision does the generator's state differ from that stream's, and
+    both callers stop there."""
     stop = len(leader) if stop is None else stop
     n = stop - start
     lt, lx, lv = (np.asarray(col[start:stop], dtype=float).tolist()
@@ -349,7 +243,23 @@ def _simulate_inner(
     draws = rng.standard_normal(n).tolist()
     pos, spd, acc, jrk, dem = [], [], [], [], []
     t_s, delta, tau = cfg.t_s, cfg.delta_star, cfg.tau_star
-    control, compensate = _control_law(cfg), _compensation_law(cfg)
+    k_s, k_v, k_a, u_min, u_max = cfg.k_s, cfg.k_v, cfg.k_a, cfg.u_min, cfg.u_max
+    # The lower level inverts its nominal dynamics estimate so the realized
+    # response targets the reference first-order behavior; identity when
+    # the nominal estimates equal the references.  The inversion's
+    # authority is bounded: the lag-lead ratio is capped at comp_lead_max
+    # and the gain correction at comp_gain_max, because an aggressive
+    # inverse amplifies measurement noise and discretization error by
+    # exactly those ratios.
+    compensate = not (cfg.T_L_nominal == cfg.T_L_ref and cfg.K_L_nominal == cfg.K_L_ref)
+    if compensate:
+        lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
+        gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
+                   cfg.comp_gain_max)
+        # gain / K_ref * ((1 - lead) * a + lead * K_ref * u), its left-to-right
+        # products grouped ahead of time: the same floating-point operations
+        g, p, q = gain / cfg.K_L_ref, 1.0 - lead, lead * cfg.K_L_ref
+    isfinite = math.isfinite
     x, v, a, u_act = init.position, init.speed, init.accel, init.demanded_accel
     # schedule entries [0, k) are active (the prefix rule); params is the last
     # of them, re-evaluated only once the next switch time is reached
@@ -362,15 +272,24 @@ def _simulate_inner(
             while k < n_sched and schedule[k][0] <= t + 1e-12:
                 k += 1
             params = schedule[max(k, 1) - 1][1]
-            jerk_of, sigma = _jerk_law(params), params.sigma_eps
+            T_L, K_L, sigma = params.T_L_true, params.K_L_true, params.sigma_eps
             next_switch = schedule[k][0] if k < n_sched else math.inf
-        gap = lx[j] - x  # state_vector, on floats
+        gap = lx[j] - x
         if gap <= 0:
             collision_time = t
             break
-        u = control(gap - (delta + tau * v), lv[j] - v, a)
-        u_act = compensate(a, u)
-        jerk = jerk_of(a, u_act, sigma * draws[j])
+        # spacing deviation from the constant-time-gap target (positive is
+        # a headway surplus) and speed difference to the leader
+        ds, dv = gap - (delta + tau * v), lv[j] - v
+        # three checks, not one on the sum: a sum can overflow where each term is finite
+        if not (isfinite(ds) and isfinite(dv) and isfinite(a)):
+            raise ValueError("non-finite state")
+        u = k_s * ds + k_v * dv + k_a * a
+        # min(max(u, u_min), u_max) without the builtins' call overhead; a
+        # NaN passes through either way
+        u = u_max if u > u_max else u_min if u < u_min else u
+        u_act = g * (p * a + q * u) if compensate else u
+        jerk = (-a + K_L * u_act) / T_L + sigma * draws[j]
         pos.append(x)
         spd.append(v)
         acc.append(a)

@@ -76,15 +76,9 @@ def _margin_arrays(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
     return local, string
 
 
-def _check_bounds(cfg: ControllerConfig) -> None:
-    if cfg.T_L_bounds[0] <= 0 or cfg.K_L_bounds[0] <= 0:
-        raise ValueError("parameter bounds must be positive")
-
-
 def assess(cfg: ControllerConfig) -> StabilityVerdict:
     """The five local and three string margins of ``cfg`` and both
     verdicts.  Margins are strict: zero or NaN counts as not satisfied."""
-    _check_bounds(cfg)
     local, string = _margin_arrays(
         cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
         cfg.T_L_bounds[0], cfg.T_L_bounds[1],
@@ -140,7 +134,6 @@ def stability_region(
             raise ValueError(f"{name} is empty")
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise ValueError(f"{name} must be strictly increasing")
-    _check_bounds(fixed)
 
     vals = {
         "k_s": fixed.k_s, "k_v": fixed.k_v,

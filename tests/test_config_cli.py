@@ -166,6 +166,9 @@ class TestConfigHoles:
         ("sgld.eta_1 = NaN", "sgld.eta_1: expected a finite number"),
         # the window's step count overflows to inf
         ("controller.t_s = 5e-324", "window_length must be a positive multiple"),
+        # windows of 0 (after rounding) and 1 step: no jerk difference to take
+        ("window.length = 1e-12", "window_length must be a positive multiple"),
+        ("window.length = 0.01", "window_length must be a positive multiple"),
         # these four used to pass here and stop a closed-loop run midway
         ("prior.variance = 0", "prior_variance must be positive"),
         ("prior.rolling_lambda = -1", "rolling_lambda must be positive"),
@@ -253,9 +256,11 @@ class TestCliStability:
         assert main(["stability", "--sweep", "k_s", "k_v"]) == 2
 
     def test_bad_grid_spec_is_config_error(self, tmp_path):
-        assert main(["stability", "--sweep", "k_s", "k_v",
-                     "--range", "bad", "0:5:3",
-                     "--out", str(tmp_path / "r.csv")]) == 2
+        for ranges in (["bad", "0:5:3"],
+                       # too many cells, rejected before any grid is allocated
+                       ["0:5:10000000000000", "0:5:3"], ["0:5:30000", "0:5:30000"]):
+            assert main(["stability", "--sweep", "k_s", "k_v", "--range", *ranges,
+                         "--out", str(tmp_path / "r.csv")]) == 2, ranges
 
 
 class TestCliSynth:
@@ -524,7 +529,7 @@ RUN_VALUES = st.fixed_dictionaries({
     # 1e-3 to 1e6: small steps, the default 0.1, and wild ones
     "sgld.eta_1": st.integers(-30, 60).map(lambda e: 10.0 ** (e / 10)),
 }, optional={
-    "window.length": st.sampled_from([1, 2, 3, 0.015, 0, -1]),
+    "window.length": st.sampled_from([1, 2, 3, 0.015, 0, -1, 1e-12, 0.01]),
     "leader.smoothing_width": st.sampled_from([0, 0.5, 3, 1e6, 1e200]),
     # valid escalation choices, and spacing gains on both sides of the
     # escalated 3.0, which CONFIG_VALUES seldom give

@@ -208,12 +208,14 @@ class TestRunClosedLoop:
         assert np.array_equal(report.follower.position, plain.position)
 
     def test_collision_aborts_with_partial_report(self):
+        # from the equilibrium start the leader brakes at 4 m/s^2, harder
+        # than the degraded plant (K_L = 0.5, so at most 2.5 m/s^2) can
         spec = SyntheticLeaderSpec(segments=(
-            LeaderSegment(1.0, 0.0), LeaderSegment(4.0, -4.5),
-            LeaderSegment(5.0, 0.0)), v0=20.0)
+            LeaderSegment(2.0, 0.0), LeaderSegment(4.0, -4.0),
+            LeaderSegment(4.0, 0.0)), v0=20.0)
+        assert run_closed_loop(short_scenario(leader_spec=spec)).collision_time is None
         sc = short_scenario(
             leader_spec=spec,
-            init_follower=plant.VehicleState(-6.0, 28.0, 0.0),
             schedule=[(0.0, PlantParams(1.5, 0.5, 0.0))],
         )
         report = run_closed_loop(sc)

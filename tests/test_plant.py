@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfmonitor.plant import (
-    CollisionError,
     ControllerConfig,
     PlantParams,
     Trajectory,
     TrajectorySample,
     VehicleState,
-    actuation_command,
-    control_command,
     equilibrium_follower,
-    glvd_jerk,
     simulate,
-    state_vector,
-    step,
 )
 from cfmonitor.estimator import SgldHyper
 from cfmonitor.harness import (
@@ -61,65 +55,97 @@ class TestControllerConfig:
             ControllerConfig(**kwargs)
 
 
+def first_step(ego, leader_position, leader_speed, cfg=CFG, params=NOMINAL, samples=1):
+    """`simulate` from ``ego`` behind a leader at ``leader_position`` holding
+    ``leader_speed``, over ``samples`` leader samples: row 0 holds the first
+    step's demand and jerk, row 1 (or ``final_state`` of a one-sample run)
+    the state after it."""
+    time = cfg.t_s * np.arange(samples)
+    leader = Trajectory(time, leader_position + leader_speed * time,
+                        np.full(samples, leader_speed), np.zeros(samples))
+    return simulate(leader, cfg, [(0.0, params)], ego)
+
+
+def demand(ds, dv, a, cfg=CFG, params=NOMINAL, speed=20.0):
+    """(demand, jerk) of the first step from the state (spacing deviation,
+    speed difference, acceleration).  The loop takes ``ds`` and ``dv`` back
+    out of the leader's position and speed, exactly when adding them to the
+    target gap and to ``speed`` rounds nothing."""
+    ego = VehicleState(position=0.0, speed=speed, accel=a)
+    res = first_step(ego, cfg.delta_star + cfg.tau_star * speed + ds, speed + dv,
+                     cfg, params)
+    return res.demanded_accel[0], res.jerk[0]
+
+
 class TestStateVector:
     def test_equilibrium_state_is_zero(self):
         ego = VehicleState(position=0.0, speed=20.0, accel=0.0)
-        leader = TrajectorySample(0.0, CFG.delta_star + CFG.tau_star * 20.0,
-                                  20.0, 0.0)
-        assert state_vector(ego, leader, CFG) == (0.0, 0.0, 0.0)
+        res = first_step(ego, CFG.delta_star + CFG.tau_star * 20.0, 20.0)
+        assert res.demanded_accel[0] == 0.0
+        assert res.jerk[0] == 0.0
 
     def test_headway_surplus(self):
+        # spacing deviation 40 - (5 + 30) = 5; raw demand 7.5 under a wide u_max
         ego = VehicleState(position=0.0, speed=30.0, accel=0.0)
-        leader = TrajectorySample(0.0, 40.0, 30.0, 0.0)
-        assert state_vector(ego, leader, CFG) == (5.0, 0.0, 0.0)
+        res = first_step(ego, 40.0, 30.0, cfg=ControllerConfig(u_max=10.0))
+        assert res.demanded_accel[0] == 7.5
 
     def test_headway_deficit_with_closing_speed(self):
+        # spacing deviation -3, speed difference 2, acceleration 0.2
         ego = VehicleState(position=0.0, speed=28.0, accel=0.2)
-        leader = TrajectorySample(0.0, 30.0, 30.0, 0.0)
-        ds, dv, a = state_vector(ego, leader, CFG)
-        assert ds == pytest.approx(-3.0)
-        assert dv == pytest.approx(2.0)
-        assert a == pytest.approx(0.2)
+        res = first_step(ego, 30.0, 30.0)
+        assert res.demanded_accel[0] == pytest.approx(-1.66)
 
     def test_nonpositive_gap_is_collision(self):
         ego = VehicleState(position=10.0, speed=20.0, accel=0.0)
-        leader = TrajectorySample(0.0, 10.0, 20.0, 0.0)
-        with pytest.raises(CollisionError):
-            state_vector(ego, leader, CFG)
+        res = first_step(ego, 10.0, 20.0)
+        assert res.collision_time == 0.0
+        assert len(res) == 0
+        assert res.final_state is None
 
 
 class TestControlCommand:
     def test_zero_state(self):
-        assert control_command((0.0, 0.0, 0.0), CFG) == 0.0
+        assert demand(0.0, 0.0, 0.0)[0] == 0.0
 
     def test_dot_product(self):
-        assert control_command((1.0, 0.5, 0.2), CFG) == pytest.approx(2.09)
+        assert demand(1.0, 0.5, 0.2)[0] == pytest.approx(2.09)
 
     def test_negative_demand(self):
-        assert control_command((-3.0, 2.0, 0.2), CFG) == pytest.approx(-1.66)
+        assert demand(-3.0, 2.0, 0.2)[0] == pytest.approx(-1.66)
 
     def test_saturation(self):
-        assert control_command((100.0, 0.0, 0.0), CFG) == CFG.u_max
-        assert control_command((-100.0, 0.0, 0.0), CFG) == CFG.u_min
+        assert demand(20.0, 0.0, 0.0)[0] == CFG.u_max
+        assert demand(-20.0, 0.0, 0.0)[0] == CFG.u_min
 
     @given(
         ds=st.floats(-1.0, 1.0), dv=st.floats(-1.0, 1.0),
         a=st.floats(-1.0, 1.0), alpha=st.floats(0.0, 1.0),
     )
     def test_linearity_before_saturation(self, ds, dv, a, alpha):
-        u1 = control_command((ds, dv, a), CFG)
-        u2 = control_command((alpha * ds, alpha * dv, alpha * a), CFG)
+        u1 = demand(ds, dv, a)[0]
+        u2 = demand(alpha * ds, alpha * dv, alpha * a)[0]
         if abs(u1) < CFG.u_max and abs(alpha * u1) < CFG.u_max:
             assert u2 == pytest.approx(alpha * u1, abs=1e-12)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            control_command((math.nan, 0.0, 0.0), CFG)
+    @pytest.mark.parametrize("ego", [
+        VehicleState(position=math.nan, speed=20.0),
+        VehicleState(position=-math.inf, speed=20.0),
+        VehicleState(position=0.0, speed=20.0, accel=math.nan),
+    ])
+    def test_non_finite_rejected(self, ego):
+        with pytest.raises(ValueError, match="non-finite state"):
+            first_step(ego, 25.0, 20.0)
+
+
+# a state whose demand is exact: spacing deviation 0.5, speed difference 0.25
+DS, DV = 0.5, 0.25
 
 
 class TestActuationCommand:
     def test_identity_at_reference(self):
-        assert actuation_command(0.5, 1.2, CFG) == 1.2
+        u_act, _ = demand(DS, DV, 0.5)
+        assert u_act == CFG.k_s * DS + CFG.k_v * DV + CFG.k_a * 0.5
 
     def test_inverts_nominal_dynamics(self):
         # nominal estimate differs mildly from the reference: the command
@@ -127,35 +153,43 @@ class TestActuationCommand:
         cfg = ControllerConfig(T_L_nominal=0.35, K_L_nominal=0.9,
                                T_L_bounds=(0.1, 0.4), K_L_bounds=(0.7, 1.0),
                                T_L_ref=0.3, K_L_ref=1.0)
-        a, u = 0.4, 1.0
-        u_act = actuation_command(a, u, cfg)
+        a = 0.4
+        u = cfg.k_s * DS + cfg.k_v * DV + cfg.k_a * a
+        estimated = PlantParams(cfg.T_L_nominal, cfg.K_L_nominal)
+        _, jerk_est = demand(DS, DV, a, cfg, estimated)
         jerk_ref = (cfg.K_L_ref * u - a) / cfg.T_L_ref
-        jerk_est = (cfg.K_L_nominal * u_act - a) / cfg.T_L_nominal
         assert jerk_est == pytest.approx(jerk_ref, rel=1e-12)
 
     def test_lead_ratio_is_capped(self):
         cfg = ControllerConfig(T_L_nominal=1.5, K_L_nominal=1.0,
                                T_L_bounds=(1.0, 2.0), K_L_bounds=(0.7, 1.0),
                                T_L_ref=0.3, K_L_ref=1.0, comp_lead_max=2.0)
-        a, u = 0.4, 1.0
+        a = 0.4
+        u = cfg.k_s * DS + cfg.k_v * DV + cfg.k_a * a
         # capped lead ratio 2 instead of 5
         expected = (1.0 - 2.0) * a + 2.0 * u
-        assert actuation_command(a, u, cfg) == pytest.approx(expected)
+        assert demand(DS, DV, a, cfg)[0] == pytest.approx(expected)
 
     def test_gain_correction_is_capped(self):
         cfg = ControllerConfig(T_L_nominal=0.3, K_L_nominal=0.1,
                                T_L_bounds=(0.1, 0.4), K_L_bounds=(0.05, 1.0),
                                T_L_ref=0.3, K_L_ref=1.0, comp_gain_max=3.0)
-        assert actuation_command(0.0, 1.0, cfg) == pytest.approx(3.0)
+        u = cfg.k_s * DS + cfg.k_v * DV
+        # gain correction 3 instead of 10
+        assert demand(DS, DV, 0.0, cfg)[0] == pytest.approx(3.0 * u)
+
+
+# demand 2 * 0.5 = 1 whatever the acceleration
+UNIT_DEMAND = ControllerConfig(k_s=2.0, k_a=0.0)
 
 
 class TestGlvdJerk:
     def test_equilibrium(self):
-        assert glvd_jerk(1.3, 1.3, PlantParams(0.7, 1.0)) == 0.0
+        assert demand(DS, 0.0, 1.0, UNIT_DEMAND, PlantParams(0.7, 1.0)) == (1.0, 0.0)
 
     def test_substitution(self):
-        assert glvd_jerk(0.0, 1.0, PlantParams(0.5, 1.0)) == pytest.approx(2.0)
-        assert glvd_jerk(1.0, 1.0, PlantParams(0.3, 0.5)) == pytest.approx(-5.0 / 3.0)
+        assert demand(DS, 0.0, 0.0, UNIT_DEMAND, PlantParams(0.5, 1.0))[1] == pytest.approx(2.0)
+        assert demand(DS, 0.0, 1.0, UNIT_DEMAND, PlantParams(0.3, 0.5))[1] == pytest.approx(-5.0 / 3.0)
 
     def test_nonpositive_lag_rejected(self):
         with pytest.raises(ValueError):
@@ -163,43 +197,42 @@ class TestGlvdJerk:
 
     @given(u=st.floats(-3.0, 3.0), t_l=st.floats(0.05, 2.0),
            k_l=st.floats(0.3, 1.5))
-    @settings(max_examples=50)
+    @settings(max_examples=50, deadline=None)
     def test_steady_state_converges_to_gain_times_demand(self, u, t_l, k_l):
-        params = PlantParams(t_l, k_l)
-        a = 0.0
-        t_s = 0.01
-        gaps = []
-        for _ in range(2000):
-            a += t_s * glvd_jerk(a, u, params)
-            gaps.append(abs(a - k_l * u))
+        # zero gains demand 0, which the saturation bounds raise or lower to u
+        bounds = dict(u_min=u, u_max=u + 1.0) if u > 0 else dict(u_min=u - 1.0, u_max=u)
+        cfg = ControllerConfig(k_s=0.0, k_v=0.0, k_a=0.0, **bounds)
+        ego = VehicleState(position=0.0, speed=20.0, accel=0.0)
+        res = first_step(ego, 1e4, 20.0, cfg, PlantParams(t_l, k_l), samples=2001)
+        assert np.all(res.demanded_accel == u)
+        gaps = np.abs(res.accel[1:] - k_l * u)
         assert gaps[-1] < 1e-3 + 1e-6 * abs(u)
         # monotone decay while the gap is non-zero (t_s < T_L)
-        assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
+        assert np.all(gaps[1:] <= gaps[:-1] + 1e-12)
 
 
 class TestStep:
     def test_equilibrium_fixed_point(self):
         leader = TrajectorySample(0.0, 25.0, 20.0, 0.0)
         ego = equilibrium_follower(leader, CFG)
-        nxt = step(ego, leader, CFG, NOMINAL)
-        assert nxt.accel == 0.0
-        assert nxt.speed == ego.speed
-        assert nxt.position == pytest.approx(ego.position + CFG.t_s * ego.speed)
-        assert nxt.demanded_accel == 0.0
+        res = first_step(ego, leader.position, leader.speed, samples=2)
+        assert res.demanded_accel[0] == 0.0
+        assert res.accel[1] == 0.0
+        assert res.speed[1] == ego.speed
+        assert res.position[1] == pytest.approx(ego.position + CFG.t_s * ego.speed)
 
     def test_saturated_demand_drives_one_step(self):
-        leader = TrajectorySample(0.0, 30.0, 20.0, 0.0)
         ego = VehicleState(position=0.0, speed=20.0, accel=0.0)
         # headway surplus 5 m -> raw demand 7.5, saturated to 3
-        nxt = step(ego, leader, CFG, NOMINAL)
-        assert nxt.demanded_accel == pytest.approx(3.0)
-        assert nxt.accel == pytest.approx(0.1)
+        res = first_step(ego, 30.0, 20.0, samples=2)
+        assert res.demanded_accel[0] == pytest.approx(3.0)
+        assert res.jerk[0] == pytest.approx(10.0)
+        assert res.accel[1] == pytest.approx(0.1)
 
     def test_speed_clamped_at_zero(self):
-        leader = TrajectorySample(0.0, 100.0, 0.0, 0.0)
         ego = VehicleState(position=0.0, speed=0.005, accel=-2.0)
-        nxt = step(ego, leader, CFG, NOMINAL)
-        assert nxt.speed == 0.0
+        res = first_step(ego, 100.0, 0.0, samples=2)
+        assert res.speed[1] == 0.0
 
 
 class TestSimulate:
@@ -311,29 +344,39 @@ class TestTrajectory:
 
 
 def step_reference(leader, cfg, schedule, init, seed):
-    """The public `step` in a loop, fed one scalar standard-normal draw per
-    step from a generator seeded as `simulate` seeds its own; the active
-    entry is the latest one whose time is within 1e-12 s of the sample
-    time.  Returns (columns, collision time, state after the last step)."""
+    """The closed loop as one scalar loop, each formula written out left to
+    right: one standard-normal draw per step from a generator seeded as
+    `simulate` seeds its own, and the active entry is the latest one whose
+    time is within 1e-12 s of the sample time.  Returns (columns, collision
+    time, state after the last step)."""
     rng = np.random.default_rng(seed)
-    ego = init
+    x, v, a, u_act = init.position, init.speed, init.accel, init.demanded_accel
+    identity = cfg.T_L_nominal == cfg.T_L_ref and cfg.K_L_nominal == cfg.K_L_ref
+    lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
+    gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
+               cfg.comp_gain_max)
     cols = {f: [] for f in ("position", "speed", "accel", "jerk", "demanded_accel")}
     for i in range(len(leader)):
-        sample = leader.sample(i)
-        params = [p for t_sw, p in schedule if t_sw <= sample.time + 1e-12][-1]
+        t = float(leader.time[i])
+        params = [p for t_sw, p in schedule if t_sw <= t + 1e-12][-1]
         draw = rng.standard_normal()
-        try:
-            nxt = step(ego, sample, cfg, params, draw)
-        except CollisionError:
-            return cols, sample.time, None
-        cols["position"].append(ego.position)
-        cols["speed"].append(ego.speed)
-        cols["accel"].append(ego.accel)
-        cols["jerk"].append(glvd_jerk(ego.accel, nxt.demanded_accel, params,
-                                      params.sigma_eps * draw))
-        cols["demanded_accel"].append(nxt.demanded_accel)
-        ego = nxt
-    return cols, None, ego
+        gap = float(leader.position[i]) - x
+        if gap <= 0:
+            return cols, t, None
+        ds = gap - (cfg.delta_star + cfg.tau_star * v)
+        dv = float(leader.speed[i]) - v
+        if not (math.isfinite(ds) and math.isfinite(dv) and math.isfinite(a)):
+            raise ValueError("non-finite state")
+        u = min(max(cfg.k_s * ds + cfg.k_v * dv + cfg.k_a * a, cfg.u_min), cfg.u_max)
+        if identity:
+            u_act = u
+        else:
+            u_act = gain / cfg.K_L_ref * ((1.0 - lead) * a + lead * cfg.K_L_ref * u)
+        jerk = (-a + params.K_L_true * u_act) / params.T_L_true + params.sigma_eps * draw
+        for f, value in zip(cols, (x, v, a, jerk, u_act)):
+            cols[f].append(value)
+        x, v, a = x + cfg.t_s * v, max(0.0, v + cfg.t_s * a), a + cfg.t_s * jerk
+    return cols, None, VehicleState(x, v, a, u_act)
 
 
 def assert_matches_reference(res, leader, cols, collision_time):
@@ -370,7 +413,7 @@ class TestSimulateMatchesStepLoop:
     def test_compensating_lower_level(self):
         cfg = ControllerConfig(T_L_nominal=0.2, K_L_nominal=0.8,
                                T_L_ref=0.3, K_L_ref=1.0)
-        assert actuation_command(0.5, 1.0, cfg) != 1.0
+        assert (cfg.T_L_nominal, cfg.K_L_nominal) != (cfg.T_L_ref, cfg.K_L_ref)
         leader = synthetic_leader(BRAKING)
         self.check(leader, cfg, [(0.0, PlantParams(0.6, 0.7, sigma_eps=0.2))],
                    equilibrium_follower(leader.sample(0), cfg))
@@ -433,20 +476,12 @@ class TestSimulateMatchesStepLoop:
         dict(K_L_nominal=0.75, K_L_ref=0.9),
     ])
     def test_prebuilt_compensation(self, kwargs):
+        # step_reference writes the compensation as one expression, left to
+        # right; a regrouped product differs from it in the last bits
         cfg = ControllerConfig(**kwargs)
         leader = synthetic_leader(BRAKING)
         self.check(leader, cfg, [(0.0, self.NOISY)],
                    equilibrium_follower(leader.sample(0), cfg))
-        # the compensation written out as one expression, left to right; a
-        # regrouped product differs from it in the last bits
-        lead = min(cfg.T_L_nominal / cfg.T_L_ref, cfg.comp_lead_max)
-        gain = min(max(cfg.K_L_ref / cfg.K_L_nominal, 1.0 / cfg.comp_gain_max),
-                   cfg.comp_gain_max)
-        pairs = np.random.default_rng(0).uniform(-5.0, 5.0, (500, 2)).tolist()
-        got = [actuation_command(a, u, cfg) for a, u in pairs]
-        want = [gain / cfg.K_L_ref * ((1.0 - lead) * a + lead * cfg.K_L_ref * u)
-                for a, u in pairs]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestEulerStabilityGuard:

@@ -59,12 +59,6 @@ class TestLocalStability:
         assert v.local_margins[0] == pytest.approx(-0.2)
         assert not v.locally_stable
 
-    def test_nonpositive_bounds_rejected(self):
-        cfg = config()
-        object.__setattr__(cfg, "T_L_bounds", (-0.1, 0.4))
-        with pytest.raises(ValueError):
-            assess(cfg)
-
 
 class TestStringStability:
     def test_default_config_margins(self):
