@@ -128,14 +128,14 @@ class TestControlCommand:
         if abs(u1) < CFG.u_max and abs(alpha * u1) < CFG.u_max:
             assert u2 == pytest.approx(alpha * u1, abs=1e-12)
 
-    @pytest.mark.parametrize("ego", [
-        VehicleState(position=math.nan, speed=20.0),
-        VehicleState(position=-math.inf, speed=20.0),
-        VehicleState(position=0.0, speed=20.0, accel=math.nan),
-    ])
-    def test_non_finite_rejected(self, ego):
-        with pytest.raises(ValueError, match="non-finite state"):
-            first_step(ego, 25.0, 20.0)
+    def test_non_finite_rejected(self):
+        for ego in (
+            VehicleState(position=math.nan, speed=20.0),
+            VehicleState(position=-math.inf, speed=20.0),
+            VehicleState(position=0.0, speed=20.0, accel=math.nan),
+        ):
+            with pytest.raises(ValueError, match="non-finite state"):
+                first_step(ego, 25.0, 20.0)
 
 
 # a state whose demand is exact: spacing deviation 0.5, speed difference 0.25
