@@ -9,7 +9,6 @@ from .plant import (
     ControllerConfig,
     PlantParams,
     Trajectory,
-    TrajectorySample,
     VehicleState,
     simulate,
 )

@@ -151,6 +151,7 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
 
 def _cmd_stability(args) -> int:
     scenario = _load_scenario(args)
+    (lo1, hi1, n1), (lo2, hi2, n2) = map(_parse_grid, args.range)
     cfg = scenario.controller
     verdict = stability.assess(cfg)
     print(json.dumps({
@@ -163,7 +164,6 @@ def _cmd_stability(args) -> int:
         if not args.out:
             raise ConfigError("--sweep requires --out for the region CSV")
         p1, p2 = args.sweep
-        (lo1, hi1, n1), (lo2, hi2, n2) = map(_parse_grid, args.range)
         if n1 * n2 > MAX_GRID_CELLS:
             raise ConfigError(f"--range grid of {n1} x {n2} cells exceeds the "
                               f"limit of {MAX_GRID_CELLS} cells")

@@ -188,7 +188,9 @@ def _products(batch: ObservationBatch) -> np.ndarray:
 
 def _lik_grad(K_L, T_L, s_ju, s_uu, s_au, s_ja, s_aa) -> tuple[float, float]:
     """Gradient in (K_L, T_L) of the log likelihood from the five product
-    sums, each already divided by sigma_sq and scaled to the full batch."""
+    sums, each already divided by sigma_sq and scaled to the full batch.
+    `sgld_run`'s chain loop holds a written-out copy, with the same
+    operations in the same order."""
     alpha, beta = K_L / T_L, 1.0 / T_L
     # d/d(alpha) and d/d(beta) of -sum(r^2)/2 with r = j - alpha u + beta a
     g_alpha = s_ju - alpha * s_uu + beta * s_au
@@ -236,40 +238,72 @@ def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
     return draws
 
 
-def _block_inputs(rng: np.random.Generator, products: np.ndarray, k: int,
-                  K_iters: int, eta_1: float):
-    """Per ``_BLOCK`` of iterations: the first iteration's index, the half
-    step sizes ``eta/2``, the minibatch sums of ``products`` and the scaled
-    Langevin noise, as lists.
+def _slab_draws(seed: int, n: int, k: int, K_iters: int):
+    """The batch-independent draws of one chain, per ``_SLAB`` of
+    iterations: the slab's first iteration, the ``(k, m)`` int32 minibatch
+    indices into ``range(n)`` (None when ``k`` covers the batch) and the
+    ``(m, 2)`` standard normals.
 
-    Each block draws its (k, m) uniforms, unless ``k`` covers the batch,
-    and then its (m, 2) normals; the uniforms of a ``_SLAB`` of blocks are
-    turned into indices in one pass, then gathered block by block.
+    Each ``_BLOCK`` draws its (k, m) uniforms, unless ``k`` covers the
+    batch, and then its (m, 2) normals; the uniforms of a slab are turned
+    into indices in one pass.  Nothing here depends on the window's values,
+    so the draws can be made ahead of the chain, in another process.
     """
-    n = len(products)
-    full = products.sum(axis=0).tolist() if k == n else None
+    rng = np.random.default_rng(seed)
     for slab in range(0, K_iters, _SLAB):
         end = min(slab + _SLAB, K_iters)
-        bounds = [(start, min(start + _BLOCK, end))
-                  for start in range(slab, end, _BLOCK)]
-        uniforms = np.empty((k, end - slab)) if full is None else None
-        normals = []
-        for start, stop in bounds:
-            if full is None:
+        uniforms = np.empty((k, end - slab)) if k < n else None
+        normals = np.empty((end - slab, 2))
+        for start in range(slab, end, _BLOCK):
+            stop = min(start + _BLOCK, end)
+            if uniforms is not None:
                 uniforms[:, start - slab:stop - slab] = rng.random((k, stop - start))
-            normals.append(rng.standard_normal((stop - start, 2)))
-        if full is None:
-            draws = _draw_minibatches(uniforms, n)
-        for (start, stop), z in zip(bounds, normals):
+            rng.standard_normal(out=normals[start - slab:stop - slab])
+        yield slab, None if uniforms is None else _draw_minibatches(uniforms, n), normals
+
+
+def _checked_slabs(slabs, n: int, k: int, K_iters: int):
+    """``slabs`` as they are iterated, each checked against the slab layout
+    of a ``K_iters`` chain with ``k``-subsets of ``range(n)``."""
+    slabs = iter(slabs)
+    for slab in range(0, K_iters, _SLAB):
+        m = min(_SLAB, K_iters - slab)
+        got = next(slabs, None)
+        if (got is None or got[0] != slab or np.shape(got[2]) != (m, 2)
+                or (got[1] is None) != (k == n)
+                or (got[1] is not None and np.shape(got[1]) != (k, m))):
+            raise ValueError(f"supplied draws do not fit the {m} iterations "
+                             f"from {slab} with minibatches of {k}")
+        yield got
+    if next(slabs, None) is not None:
+        raise ValueError(f"supplied draws run past K_iters = {K_iters}")
+
+
+def _block_inputs(products: np.ndarray, slabs, eta_1: float):
+    """Per ``_BLOCK`` of iterations: the first iteration's index, then eight
+    lists, one value per iteration: the half step sizes ``eta/2``, the five
+    minibatch sums of ``products`` and the two scaled Langevin noises.
+
+    Indices and normals come from ``slabs`` (see `_slab_draws`); each block
+    gathers its own sums.
+    """
+    full = None
+    for slab, draws, normals in slabs:
+        end = slab + len(normals)
+        for start in range(slab, end, _BLOCK):
+            stop = min(start + _BLOCK, end)
             etas = eta_1 / np.arange(start + 1, stop + 1)
-            if full is None:
+            if draws is None:
+                if full is None:
+                    full = products.sum(axis=0).tolist()
+                sums = [[s] * (stop - start) for s in full]
+            else:
                 # the same (k, m, 5) gather as products[cols], at a fraction
                 # of fancy indexing's cost; summed in the same order
                 cols = draws[:, start - slab:stop - slab]
-                sums = np.take(products, cols, axis=0).sum(axis=0).tolist()
-            else:
-                sums = [full] * (stop - start)
-            yield start, (0.5 * etas).tolist(), sums, (z * np.sqrt(etas)[:, None]).tolist()
+                sums = np.take(products, cols, axis=0).sum(axis=0).T.tolist()
+            noise = (normals[start - slab:stop - slab] * np.sqrt(etas)[:, None]).T.tolist()
+            yield start, (0.5 * etas).tolist(), *sums, *noise
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -294,6 +328,8 @@ def sgld_run(
     prior: GaussianPrior,
     hyper: SgldHyper,
     fix_lag: float | None = None,
+    *,
+    draws=None,
 ) -> PosteriorEstimate:
     """Optimization-then-sampling over the window's posterior.
 
@@ -305,12 +341,18 @@ def sgld_run(
     Minibatch gradients come from sums of the pre-scaled ``_products``;
     indices and noise are drawn ``_BLOCK`` iterations at a time, index
     collisions are resolved ``_SLAB`` iterations at a time, and the chain
-    itself steps on plain floats.  A chain that leaves the positive floats
-    raises ``ValueError``.
+    itself steps on plain floats.  ``draws``, when given, supplies those
+    indices and noise as `_slab_draws` yields them, made ahead (for example
+    in another process); a slab that does not fit the chain raises
+    ``ValueError``.  A chain that leaves the positive floats raises
+    ``ValueError``.
     """
-    rng = np.random.default_rng(hyper.seed)
     n_total = len(batch)
     n_mb = min(hyper.minibatch_n, n_total)
+    if draws is None:
+        draws = _slab_draws(hyper.seed, n_total, n_mb, hyper.K_iters)
+    else:
+        draws = _checked_slabs(draws, n_total, n_mb, hyper.K_iters)
     # finite but huge observations overflow the sums; the resulting NaN
     # drift would slip past the max_drift clip and overflow exp()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,13 +373,16 @@ def sgld_run(
 
     burn, max_drift = hyper.burn_in_c, hyper.max_drift
     samples = np.empty((hyper.K_iters - burn, 2))
-    exp, hypot, lik_grad = math.exp, math.hypot, _lik_grad
+    exp, hypot = math.exp, math.hypot
     try:
-        for start, half_etas, sums, noise in _block_inputs(
-                rng, products, n_mb, hyper.K_iters, hyper.eta_1):
+        for start, *columns in _block_inputs(products, draws, hyper.eta_1):
             flat = []  # the block's iterates as K, T, K, T, ...
-            for h, (s_ju, s_uu, s_au, s_ja, s_aa), (z_K, z_T) in zip(half_etas, sums, noise):
-                g_K, g_T = lik_grad(K, T, s_ju, s_uu, s_au, s_ja, s_aa)
+            for h, s_ju, s_uu, s_au, s_ja, s_aa, z_K, z_T in zip(*columns):
+                # _lik_grad, written out: the same operations in the same order
+                alpha, beta = K / T, 1.0 / T
+                g_alpha = s_ju - alpha * s_uu + beta * s_au
+                g_beta = alpha * s_au - s_ja - beta * s_aa
+                g_K, g_T = g_alpha * beta, -(K * g_alpha + g_beta) * beta * beta
                 # chain rule to log space plus the log-volume term of the transform
                 d_K = h * (K * ((m_K - K) / var + g_K) + 1.0)
                 d_T = h * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
@@ -356,7 +401,7 @@ def sgld_run(
             if lo < stop:
                 samples[lo - burn:stop - burn].reshape(-1)[:] = flat[2 * (lo - start):]
     except (OverflowError, ZeroDivisionError):
-        # exp() overflowed, or T_L underflowed to 0 and _lik_grad divided by it
+        # exp() overflowed, or T_L underflowed to 0 and K / T divided by it
         raise ValueError(_DIVERGED) from None
     # a chain that underflowed to 0 or went NaN raises nothing on the way
     if not (np.isfinite(samples).all() and (samples > 0).all()):

@@ -7,6 +7,7 @@ plot-ready CSV/JSON files.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -20,9 +21,11 @@ import numpy as np
 
 from . import monitor, plant
 from .estimator import (
+    _SLAB,
     GaussianPrior,
     PosteriorEstimate,
     SgldHyper,
+    _slab_draws,
     batch_from_series,
     sgld_run,
     update_prior,
@@ -290,6 +293,119 @@ def _resolve_leader(scenario: ScenarioConfig) -> Trajectory:
     return leader
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _can_offload() -> bool:
+    """True when a forked helper can run beside this process: the platform
+    can fork and two or more CPUs are usable."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work()`` in a forked child while the block runs.  The child ends
+    with `os._exit`: code 0 when ``work`` returns, 1 when it raises.
+
+    Yields ``wait()``, which reaps the child and returns its exit code, or
+    None when the fork fails (e.g. at a process limit), so the caller does
+    the work itself.  A child not yet reaped when the block ends, normally
+    or by an exception, is killed and reaped.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        yield None
+        return
+    if pid == 0:
+        # fork copies only this thread; a child must call no BLAS routine,
+        # whose worker threads it would lack
+        status = 1
+        try:
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    reaped = False
+
+    def wait():
+        nonlocal reaped
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        return os.waitstatus_to_exitcode(status)
+
+    try:
+        yield wait
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+# bytes the prefetch pipe holds: about one default window's draws (four
+# slabs of 128 KiB of indices and 16 KiB of normals), so the child can run a
+# window ahead; with the default 64 KiB the loop waited on its reads
+_PIPE_BYTES = 1 << 20
+
+
+@contextlib.contextmanager
+def _prefetched_draws(seeds, n: int, hyper: SgldHyper):
+    """While the block runs, a forked child makes the SGLD draws of every
+    window ahead of its chain: `_slab_draws` with seed ``seeds[w]``, ``n``
+    samples and ``hyper``'s minibatch size and iterations, written to a pipe
+    as raw bytes in window order.  The pipe's capacity bounds how far ahead
+    the child runs.
+
+    Yields ``window_draws(w)``, which reads window ``w``'s slabs for
+    `sgld_run`'s ``draws``; windows are read in order, each to its end.
+    Yields None, and each chain draws its own, when there is no window or
+    `_can_offload` is false, or the fork fails.  A child that ends early
+    makes the read raise ``OSError`` naming the window.
+    """
+    if not (seeds and _can_offload()):
+        yield None
+        return
+    import fcntl  # POSIX, as fork is
+
+    k, K_iters = min(hyper.minibatch_n, n), hyper.K_iters
+
+    def produce():
+        reader.close()  # so the writes fail, not block, once the parent is gone
+        for seed in seeds:
+            for _, draws, normals in _slab_draws(seed, n, k, K_iters):
+                if draws is not None:
+                    writer.write(draws)
+                writer.write(normals)
+            writer.flush()
+
+    def window_draws(w):
+        for slab in range(0, K_iters, _SLAB):
+            m = min(_SLAB, K_iters - slab)
+            draws = None if k == n else np.empty((k, m), np.int32)
+            normals = np.empty((m, 2))
+            for arr in (draws, normals):
+                if arr is not None and reader.readinto(arr) != arr.nbytes:
+                    raise OSError("the process drawing SGLD inputs ahead ended "
+                                  f"before the draws of window {w}")
+            yield slab, draws, normals
+
+    read_fd, write_fd = os.pipe()
+    with contextlib.ExitStack() as stack:
+        reader = stack.enter_context(open(read_fd, "rb"))
+        with open(write_fd, "wb") as writer:
+            set_size = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
+            if set_size is not None:
+                with contextlib.suppress(OSError):  # e.g. above the user's limit
+                    fcntl.fcntl(write_fd, set_size, _PIPE_BYTES)
+            forked = stack.enter_context(_forked(produce))
+        # the write end is closed here, so the child's end reads as EOF
+        yield None if forked is None else window_draws
+
+
 def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     """Simulate window by window: estimate the dynamics parameters from
     each completed window, evaluate the strategy layer, and (when the
@@ -304,7 +420,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     tau_active = cfg.tau_star  # slew-limited time gap actually driven
     plant.check_schedule(scenario.schedule, leader, cfg.t_s)
 
-    ego = plant.equilibrium_follower(leader.sample(0), cfg)
+    ego = plant.equilibrium_follower(leader, cfg)
     plant_rng = np.random.default_rng(scenario.seed)
     win_steps = int(round(scenario.window_length / cfg.t_s))
     n = len(leader)
@@ -316,46 +432,49 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     collision_time = None
     start = 0
     w = 0
-    while start < n and collision_time is None:
-        stop = min(start + win_steps, n)
-        active_cfg = (cfg if tau_active == cfg.tau_star
-                      else replace(cfg, tau_star=tau_active))
-        piece = plant._simulate_inner(
-            leader, active_cfg, scenario.schedule, ego, plant_rng, start, stop
-        )
-        pieces.append(piece)
-        collision_time = piece.collision_time
-        if collision_time is not None or len(piece) < stop - start:
-            break
-        ego = piece.final_state
-        complete = stop - start == win_steps and w < n_windows
-        if complete:
-            hyper = replace(scenario.sgld, seed=_window_seed(scenario.seed, w))
-            batch = batch_from_series(
-                piece.accel, piece.demanded_accel, cfg.t_s,
-                t_start=float(piece.time[0]),
+    seeds = [_window_seed(scenario.seed, i) for i in range(n_windows)]
+    with _prefetched_draws(seeds, win_steps, scenario.sgld) as window_draws:
+        while start < n and collision_time is None:
+            stop = min(start + win_steps, n)
+            active_cfg = (cfg if tau_active == cfg.tau_star
+                          else replace(cfg, tau_star=tau_active))
+            piece = plant._simulate_inner(
+                leader, active_cfg, scenario.schedule, ego, plant_rng, start, stop
             )
-            estimate = sgld_run(batch, prior, hyper)
-            decision = monitor.evaluate(estimate, cfg, scenario.policy)
-            applied = False
-            if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:
-                cfg = monitor.apply_decision(cfg, decision)
-                applied = True
-            windows.append(WindowRecord(
-                w, float(piece.time[0]), float(piece.time[0]) + scenario.window_length,
-                prior.mean, prior.variance, estimate, decision, applied,
-            ))
-            # no verdict: the estimate is low-confidence or no valid
-            # configuration could be built from it, so it seeds no prior
-            if decision.stability_verdict is not None:
-                prior = update_prior(estimate, scenario.rolling_lambda)
-            w += 1
-            max_step = scenario.policy.tau_star_slew * scenario.window_length
-            if tau_active < cfg.tau_star:
-                tau_active = min(cfg.tau_star, tau_active + max_step)
-            elif tau_active > cfg.tau_star:
-                tau_active = max(cfg.tau_star, tau_active - max_step)
-        start = stop
+            pieces.append(piece)
+            collision_time = piece.collision_time
+            if collision_time is not None or len(piece) < stop - start:
+                break
+            ego = piece.final_state
+            complete = stop - start == win_steps and w < n_windows
+            if complete:
+                hyper = replace(scenario.sgld, seed=seeds[w])
+                batch = batch_from_series(
+                    piece.accel, piece.demanded_accel, cfg.t_s,
+                    t_start=float(piece.time[0]),
+                )
+                estimate = sgld_run(batch, prior, hyper, draws=(
+                    None if window_draws is None else window_draws(w)))
+                decision = monitor.evaluate(estimate, cfg, scenario.policy)
+                applied = False
+                if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:
+                    cfg = monitor.apply_decision(cfg, decision)
+                    applied = True
+                windows.append(WindowRecord(
+                    w, float(piece.time[0]), float(piece.time[0]) + scenario.window_length,
+                    prior.mean, prior.variance, estimate, decision, applied,
+                ))
+                # no verdict: the estimate is low-confidence or no valid
+                # configuration could be built from it, so it seeds no prior
+                if decision.stability_verdict is not None:
+                    prior = update_prior(estimate, scenario.rolling_lambda)
+                w += 1
+                max_step = scenario.policy.tau_star_slew * scenario.window_length
+                if tau_active < cfg.tau_star:
+                    tau_active = min(cfg.tau_star, tau_active + max_step)
+                elif tau_active > cfg.tau_star:
+                    tau_active = max(cfg.tau_star, tau_active - max_step)
+            start = stop
 
     follower = _concat_results(pieces, collision_time)
     switch_time = _first_switch(scenario.schedule)
@@ -420,13 +539,6 @@ def _min_gap(leader: Trajectory, follower: plant.SimulationResult) -> float:
 _EMIT_BLOCK = 512
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _format_blocks(sinks, tables, columns, rows, b_lo, b_hi) -> None:
     """Write rows ``[b_lo, b_hi)`` of each table to its sink, one block at a
     time; ``b_lo`` is a multiple of `_EMIT_BLOCK`.  A column shared by
@@ -448,63 +560,50 @@ def _write_float_csvs(tables) -> None:
     with ``repr(float(v))`` cells and ``\\r\\n`` line ends.
 
     ``tables`` holds ``(path, header, columns)``; a file has as many rows
-    as its shortest column.  ``repr`` is the cost, so when the platform can
-    fork, two or more CPUs are usable and the rows span two or more blocks,
-    a forked child formats the second half of the blocks of every file into
-    anonymous temporary files in that file's directory while this process
-    writes the first half; the child's halves are then appended."""
+    as its shortest column.  ``repr`` is the cost, so when `_can_offload`
+    and the rows span two or more blocks, a forked child formats the second
+    half of the blocks of every file into anonymous temporary files in that
+    file's directory while this process writes the first half; the child's
+    halves are then appended."""
     columns = {id(col): np.asarray(col, dtype=float)
                for _, _, cols in tables for col in cols}
     rows = [min(len(col) for col in cols) for _, _, cols in tables]
     end = max(rows)
     blocks = -(-end // _EMIT_BLOCK)
     mid = end
-    files, tails = [], []
-    pid = None
-    try:
+    tails = []
+
+    def format_tail():
+        _format_blocks(tails, tables, columns, rows, mid, end)
+        for tmp in tails:
+            tmp.flush()
+
+    with contextlib.ExitStack() as stack:
         # opened before the fork but written after it, so the child's copies
         # hold no buffered data (os._exit would not flush them anyway)
-        for path, _, _ in tables:
-            files.append(open(path, "w", newline=""))
-        if blocks >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
+        files = [stack.enter_context(open(path, "w", newline=""))
+                 for path, _, _ in tables]
+        wait = None
+        if blocks >= 2 and _can_offload():
             for path, _, _ in tables:
-                tails.append(tempfile.TemporaryFile(
-                    "w+", newline="", dir=os.path.dirname(path) or os.curdir))
+                tails.append(stack.enter_context(tempfile.TemporaryFile(
+                    "w+", newline="", dir=os.path.dirname(path) or os.curdir)))
             mid = blocks // 2 * _EMIT_BLOCK
-            try:
-                pid = os.fork()
-            except OSError:  # e.g. a process limit: format every row here
+            wait = stack.enter_context(_forked(format_tail))
+            if wait is None:  # format every row here
                 mid = end
-            if pid == 0:
-                # fork copies only this thread; the child calls no BLAS
-                # routine, whose worker threads it would lack
-                status = 1
-                try:
-                    _format_blocks(tails, tables, columns, rows, mid, end)
-                    for tmp in tails:
-                        tmp.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
         for fh, (_, header, _) in zip(files, tables):
             fh.write(",".join(header) + "\r\n")
         _format_blocks(files, tables, columns, rows, 0, mid)
-        if pid is not None:
-            _, status = os.waitpid(pid, 0)
-            pid = None
-            if status:
+        if wait is not None:
+            code = wait()
+            if code:
                 raise OSError(f"the process formatting rows from {mid} on ended "
-                              f"with code {os.waitstatus_to_exitcode(status)}")
+                              f"with code {code}")
             for fh, tmp in zip(files, tails):
                 tmp.seek(0)
                 fh.flush()  # the bytes are copied past the text layers
                 shutil.copyfileobj(tmp.buffer, fh.buffer)
-    finally:
-        if pid is not None:  # this process failed while the child ran
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fh in files + tails:
-            fh.close()
 
 
 def estimate_record(e: PosteriorEstimate) -> dict:

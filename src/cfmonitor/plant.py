@@ -16,10 +16,10 @@ __all__ = [
     "ControllerConfig",
     "PlantParams",
     "VehicleState",
-    "TrajectorySample",
     "Trajectory",
     "SimulationResult",
     "check_schedule",
+    "equilibrium_follower",
     "simulate",
 ]
 
@@ -105,14 +105,6 @@ class VehicleState:
         _require(self.speed >= 0, "speed must be non-negative")
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    time: float
-    position: float
-    speed: float
-    accel: float
-
-
 @dataclass
 class Trajectory:
     """Uniformly sampled trajectory stored as column arrays."""
@@ -135,12 +127,6 @@ class Trajectory:
     def t_s(self) -> float:
         _require(len(self) >= 2, "sampling step undefined for a single sample")
         return float(self.time[1] - self.time[0])
-
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            float(self.time[i]), float(self.position[i]),
-            float(self.speed[i]), float(self.accel[i]),
-        )
 
     def check_uniform(self, t_s: float, rtol: float = 1e-6) -> None:
         if len(self) < 2:
@@ -309,7 +295,9 @@ def _simulate_inner(
     )
 
 
-def equilibrium_follower(leader0: TrajectorySample, cfg: ControllerConfig) -> VehicleState:
-    """Follower state at the spacing-policy equilibrium behind a leader sample."""
-    gap = cfg.delta_star + cfg.tau_star * leader0.speed
-    return VehicleState(leader0.position - gap, leader0.speed, 0.0, 0.0)
+def equilibrium_follower(leader: Trajectory, cfg: ControllerConfig) -> VehicleState:
+    """Follower state at the spacing-policy equilibrium behind the leader's
+    first sample."""
+    speed = float(leader.speed[0])
+    gap = cfg.delta_star + cfg.tau_star * speed
+    return VehicleState(float(leader.position[0]) - gap, speed, 0.0, 0.0)

@@ -1,0 +1,39 @@
+"""Fixtures for the forked helpers of `cfmonitor.harness`: the float-table
+writer's formatter and the closed loop's SGLD draws."""
+import os
+import sys
+
+import pytest
+
+from cfmonitor import harness
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the affinity, and a list that gets, per fork
+    the harness makes, the name of the harness function that asked for it
+    (``_write_float_csvs`` or ``_prefetched_draws``)."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        frame = sys._getframe(1)
+        # past the shared helper and contextlib's frames
+        while (frame.f_code.co_filename != harness.__file__
+               or frame.f_code.co_name == "_forked"):
+            frame = frame.f_back
+        calls.append(frame.f_code.co_name)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.fixture
+def assert_no_children():
+    """A check that this process has no child left, running or unreaped."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return check

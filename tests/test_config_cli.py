@@ -261,6 +261,8 @@ class TestCliStability:
                        ["0:5:10000000000000", "0:5:3"], ["0:5:30000", "0:5:30000"]):
             assert main(["stability", "--sweep", "k_s", "k_v", "--range", *ranges,
                          "--out", str(tmp_path / "r.csv")]) == 2, ranges
+        # checked without --sweep too
+        assert main(["stability", "--range", "bad", "bad"]) == 2
 
 
 class TestCliSynth:
@@ -518,6 +520,7 @@ def fuzz_files(tmp_path_factory):
                                  "plant.switch_time = 6\nsgld.K_iters = 100\n")
     (d / "bad.cfg").write_text("this is not a config\n")
     (d / "file").write_text("")
+    (d / "cwd").mkdir()
     return d
 
 
@@ -601,5 +604,14 @@ class TestRunFuzz:
             # the default scenario runs 30 windows of 4000 iterations; a
             # later --config in the drawn tokens replaces this one
             argv[1:1] = ["--config", str(d / "small.cfg")]
-        code, err = run_cli(argv)
+        # "--out 0" and the like name a path relative to the working
+        # directory, so the call runs in one inside fuzz_files
+        home = os.getcwd()
+        before = set(os.listdir(home))
+        os.chdir(d / "cwd")
+        try:
+            code, err = run_cli(argv)
+        finally:
+            os.chdir(home)
+        assert set(os.listdir(home)) <= before, argv
         assert code in (0, 2, 3, 4), (argv, err)

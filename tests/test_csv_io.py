@@ -116,33 +116,12 @@ class TestEmissionMatchesCsvWriter:
 # the split writer: a forked child formats the second half of the blocks
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Two usable CPUs whatever the affinity, and a list that gets one entry
-    per fork the writer makes."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
 def random_report(rows, follower_rows):
     rng = np.random.default_rng(rows)
     leader = Trajectory(np.arange(rows) * 0.01, *rng.standard_normal((3, rows)))
     follower = plant.SimulationResult(leader.time[:follower_rows].copy(),
                                       *rng.standard_normal((5, follower_rows)))
     return RunReport(leader, follower, [], 2.0, None, None, 0.0, 0.0, 0.0)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def make_repr_fail(monkeypatch, in_child):
@@ -164,7 +143,8 @@ TABLES = {"leader.csv", "follower.csv", "overlay.csv"}
 class TestSplitWriter:
     @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
                                       2 * BLOCK + 1, 3 * BLOCK + 1])
-    def test_bytes_equal_csv_writer(self, tmp_path, forks, rows):
+    def test_bytes_equal_csv_writer(self, tmp_path, forks, rows,
+                                    assert_no_children):
         report = random_report(rows, rows)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == (rows > BLOCK)
@@ -201,7 +181,8 @@ class TestSplitWriter:
                     == (tmp_path / "split" / name).read_bytes()), name
         assert set(os.listdir(tmp_path / "one")) == set(os.listdir(tmp_path / "split"))
 
-    def test_child_failure_raises_oserror(self, tmp_path, monkeypatch, forks):
+    def test_child_failure_raises_oserror(self, tmp_path, monkeypatch, forks,
+                                          assert_no_children):
         make_repr_fail(monkeypatch, in_child=True)
         out = tmp_path / "out"
         with pytest.raises(OSError, match=r"rows from 1024 on ended with code 1"):
@@ -210,18 +191,21 @@ class TestSplitWriter:
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 
-    def test_child_failure_exits_4(self, tmp_path, capsys, monkeypatch, forks):
+    def test_child_failure_exits_4(self, tmp_path, capsys, monkeypatch, forks,
+                                   assert_no_children):
         make_repr_fail(monkeypatch, in_child=True)
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("sgld.K_iters = 50\n")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
         assert "I/O error: failed writing outputs under" in capsys.readouterr().err
-        assert len(forks) == 1
+        # the closed loop's draws are prefetched by a fork of their own
+        assert forks.count("_write_float_csvs") == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 
-    def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks):
+    def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks,
+                                        assert_no_children):
         make_repr_fail(monkeypatch, in_child=False)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="formatter failed"):

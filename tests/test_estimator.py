@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from cfmonitor.estimator import (
     _BLOCK,
+    _SLAB,
     _draw_minibatches,
     _lik_grad,
     _products,
+    _slab_draws,
     GaussianPrior,
     ObservationBatch,
     SgldHyper,
@@ -394,6 +396,43 @@ class TestSgldRun:
         est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag=fix_lag)
         ref = block_reference(batch, WIDE_PRIOR, hyper, fix_lag)
         assert est.samples.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n,minibatch_n,fix_lag,K_iters", [
+        (200, 32, None, 4097),
+        (200, 32, 0.3, 1100),
+        (200, 10**6, None, 1100),  # full batch
+    ])
+    def test_supplied_draws_match_in_process(self, n, minibatch_n, fix_lag, K_iters):
+        batch = synthetic_batch(1.0, 0.3, n=n, seed=n)
+        hyper = SgldHyper(K_iters=K_iters, minibatch_n=minibatch_n, seed=K_iters)
+        # all made before the chain starts, as a prefetching process makes them
+        draws = list(_slab_draws(hyper.seed, n, min(minibatch_n, n), K_iters))
+        est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag, draws=draws)
+        ref = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag)
+        assert est.samples.tobytes() == ref.samples.tobytes()
+
+    @pytest.mark.parametrize("misfit", ["short_indices", "short_normals",
+                                        "indices_for_full_batch", "missing_slab",
+                                        "extra_slab", "wrong_start"])
+    def test_misfit_draws_rejected(self, misfit):
+        batch = synthetic_batch(1.0, 0.3, n=200, seed=3)
+        hyper = SgldHyper(K_iters=1100, seed=3)
+        draws = list(_slab_draws(3, 200, 32, 1100))
+        start, idx, z = draws[1]
+        if misfit == "short_indices":
+            draws[1] = start, idx[1:], z
+        elif misfit == "short_normals":
+            draws[1] = start, idx, z[1:]
+        elif misfit == "indices_for_full_batch":
+            hyper = replace(hyper, minibatch_n=200)
+        elif misfit == "missing_slab":
+            del draws[1]
+        elif misfit == "extra_slab":
+            draws.append((start + _SLAB, idx, z))
+        else:
+            draws[1] = start - 1, idx, z
+        with pytest.raises(ValueError, match="supplied draws"):
+            sgld_run(batch, WIDE_PRIOR, hyper, draws=draws)
 
     @pytest.mark.parametrize("kwargs,seed", [
         ({"eta_1": 1e6}, 0),      # ZeroDivisionError: T_L underflowed to 0

@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cfmonitor import plant
+from cfmonitor import harness, plant
+from cfmonitor.cli import main
 from cfmonitor.estimator import SgldHyper
 from cfmonitor.harness import (
     LeaderSegment,
@@ -27,6 +31,13 @@ from cfmonitor.plant import ControllerConfig, PlantParams, Trajectory
 NOMINAL = PlantParams(T_L_true=0.3, K_L_true=1.0, sigma_eps=0.05)
 
 
+# from the equilibrium start the leader brakes at 4 m/s^2, harder than the
+# degraded plant (K_L = 0.5, so at most 2.5 m/s^2) can
+BRAKING = SyntheticLeaderSpec(segments=(
+    LeaderSegment(2.0, 0.0), LeaderSegment(4.0, -4.0),
+    LeaderSegment(4.0, 0.0)), v0=20.0)
+
+
 def short_scenario(seed=0, duration=8.0, strategy_enabled=True, **kwargs):
     spec = SyntheticLeaderSpec(segments=(
         LeaderSegment(2.0, 0.0), LeaderSegment(2.0, -1.0),
@@ -42,6 +53,10 @@ def short_scenario(seed=0, duration=8.0, strategy_enabled=True, **kwargs):
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
+
+
+COLLIDING = short_scenario(leader_spec=BRAKING,
+                           schedule=[(0.0, PlantParams(1.5, 0.5, 0.0))])
 
 
 class TestSyntheticLeader:
@@ -201,24 +216,15 @@ class TestRunClosedLoop:
         sc = default_scenario(seed=3, strategy_enabled=False)
         report = run_closed_loop(sc)
         leader = synthetic_leader(sc.leader_spec)
-        init = plant.equilibrium_follower(leader.sample(0), sc.controller)
+        init = plant.equilibrium_follower(leader, sc.controller)
         plain = plant.simulate(leader, sc.controller, sc.schedule, init,
                                seed=sc.seed)
         assert np.array_equal(report.follower.accel, plain.accel)
         assert np.array_equal(report.follower.position, plain.position)
 
     def test_collision_aborts_with_partial_report(self):
-        # from the equilibrium start the leader brakes at 4 m/s^2, harder
-        # than the degraded plant (K_L = 0.5, so at most 2.5 m/s^2) can
-        spec = SyntheticLeaderSpec(segments=(
-            LeaderSegment(2.0, 0.0), LeaderSegment(4.0, -4.0),
-            LeaderSegment(4.0, 0.0)), v0=20.0)
-        assert run_closed_loop(short_scenario(leader_spec=spec)).collision_time is None
-        sc = short_scenario(
-            leader_spec=spec,
-            schedule=[(0.0, PlantParams(1.5, 0.5, 0.0))],
-        )
-        report = run_closed_loop(sc)
+        assert run_closed_loop(short_scenario(leader_spec=BRAKING)).collision_time is None
+        report = run_closed_loop(COLLIDING)
         assert report.collision_time is not None
         assert len(report.follower) < 1001
 
@@ -252,6 +258,85 @@ class TestRunClosedLoop:
         leader = report.leader
         gap = leader.position[i] - f.position[i]
         assert gap < gap_target[i] - 1.0
+
+
+class TestPrefetchedDraws:
+    """The closed loop's SGLD draws, made ahead by a forked child, against
+    the draws each chain makes in-process."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        """A 12 s leader (six windows) and a switch at 6 s; K_iters spans
+        two slabs, or the window is one full batch."""
+        def write(text):
+            save_trajectory(synthetic_leader(SyntheticLeaderSpec(segments=(
+                LeaderSegment(3.0, 0.0), LeaderSegment(3.0, -1.0),
+                LeaderSegment(3.0, 1.0), LeaderSegment(3.0, 0.0)))),
+                tmp_path / "leader.csv")
+            path = tmp_path / "run.cfg"
+            path.write_text(f"leader.source = {tmp_path / 'leader.csv'}\n"
+                            f"plant.switch_time = 6\n{text}")
+            return path
+        return write
+
+    @staticmethod
+    def simulate(cfg, out):
+        """Exit code and stderr of ``cfmonitor simulate``."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n",
+                                      "sgld.K_iters = 300\nsgld.minibatch_n = 200\n"])
+    @pytest.mark.parametrize("no_prefetch", ["one_cpu", "no_fork", "fork_fails"])
+    def test_artifacts_equal_in_process_draws(self, tmp_path, monkeypatch, forks,
+                                              assert_no_children, config, sgld,
+                                              no_prefetch):
+        cfg = config(sgld)
+        assert self.simulate(cfg, tmp_path / "prefetch") == (0, "")
+        assert forks.count("_prefetched_draws") == 1
+        if no_prefetch == "one_cpu":
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        elif no_prefetch == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+        assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
+        assert forks.count("_prefetched_draws") == 1
+        names = sorted(os.listdir(tmp_path / "prefetch"))
+        assert names == sorted(os.listdir(tmp_path / "in_process"))
+        for name in names:
+            assert ((tmp_path / "prefetch" / name).read_bytes()
+                    == (tmp_path / "in_process" / name).read_bytes()), name
+        assert_no_children()
+
+    def test_child_failure_exits_4(self, tmp_path, monkeypatch, forks,
+                                   assert_no_children, config):
+        parent, calls = os.getpid(), []
+        real_slab_draws = harness._slab_draws
+
+        def slab_draws(seed, *args):
+            if os.getpid() != parent:
+                calls.append(seed)  # the child's copy of the list
+                if len(calls) == 3:
+                    raise RuntimeError("draws failed")
+            return real_slab_draws(seed, *args)
+
+        monkeypatch.setattr(harness, "_slab_draws", slab_draws)
+        code, err = self.simulate(config("sgld.K_iters = 1100\n"), tmp_path / "out")
+        assert code == 4
+        assert err.startswith("I/O error: ") and err.rstrip().endswith(" window 2")
+        assert forks.count("_prefetched_draws") == 1
+        assert_no_children()
+
+    def test_collision_mid_run_reaps_child(self, forks, assert_no_children):
+        report = run_closed_loop(COLLIDING)
+        assert report.collision_time is not None and report.windows
+        assert forks == ["_prefetched_draws"]
+        assert_no_children()
 
 
 class TestEmitOutputs:

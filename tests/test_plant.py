@@ -8,7 +8,6 @@ from cfmonitor.plant import (
     ControllerConfig,
     PlantParams,
     Trajectory,
-    TrajectorySample,
     VehicleState,
     equilibrium_follower,
     simulate,
@@ -213,9 +212,10 @@ class TestGlvdJerk:
 
 class TestStep:
     def test_equilibrium_fixed_point(self):
-        leader = TrajectorySample(0.0, 25.0, 20.0, 0.0)
+        leader = Trajectory(np.array([0.0]), np.array([25.0]), np.array([20.0]),
+                            np.array([0.0]))
         ego = equilibrium_follower(leader, CFG)
-        res = first_step(ego, leader.position, leader.speed, samples=2)
+        res = first_step(ego, 25.0, 20.0, samples=2)
         assert res.demanded_accel[0] == 0.0
         assert res.accel[1] == 0.0
         assert res.speed[1] == ego.speed
@@ -238,7 +238,7 @@ class TestStep:
 class TestSimulate:
     def test_equilibrium_invariance(self):
         leader = constant_leader()
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         res = simulate(leader, CFG, [(0.0, NOMINAL)], init, seed=1)
         # exact invariance holds per step; over a full run only float
         # accumulation noise remains
@@ -253,7 +253,7 @@ class TestSimulate:
             LeaderSegment(5.0, 0.0), LeaderSegment(3.0, -1.5),
             LeaderSegment(4.5, 1.0), LeaderSegment(20.0, 0.0),
         ), v0=20.0))
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         res = simulate(leader, CFG, [(0.0, NOMINAL)], init, seed=0)
         ds = (leader.position - res.position
               - CFG.delta_star - CFG.tau_star * res.speed)
@@ -271,7 +271,7 @@ class TestSimulate:
             LeaderSegment(3.0, -1.5), LeaderSegment(4.5, 1.0),
             LeaderSegment(10.0, 0.0),
         ), v0=20.0))
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         schedule = [(0.0, NOMINAL), (26.0, PlantParams(1.5, 0.5))]
         degraded = simulate(leader, CFG, schedule, init, seed=0)
         nominal = simulate(leader, CFG, [(0.0, NOMINAL)], init, seed=0)
@@ -314,7 +314,7 @@ class TestSimulate:
 
     def test_schedule_validation(self):
         leader = constant_leader(duration=2.0)
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         with pytest.raises(ValueError):
             simulate(leader, CFG, [], init)
         with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ class TestSimulate:
 
     def test_sampling_rate_mismatch_rejected(self):
         leader = constant_leader(duration=2.0, t_s=0.02)
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         with pytest.raises(ValueError):
             simulate(leader, CFG, [(0.0, NOMINAL)], init)
 
@@ -408,7 +408,7 @@ class TestSimulateMatchesStepLoop:
     def test_nominal(self):
         leader = synthetic_leader(BRAKING)
         self.check(leader, CFG, [(0.0, self.NOISY)],
-                   equilibrium_follower(leader.sample(0), CFG))
+                   equilibrium_follower(leader, CFG))
 
     def test_compensating_lower_level(self):
         cfg = ControllerConfig(T_L_nominal=0.2, K_L_nominal=0.8,
@@ -416,7 +416,7 @@ class TestSimulateMatchesStepLoop:
         assert (cfg.T_L_nominal, cfg.K_L_nominal) != (cfg.T_L_ref, cfg.K_L_ref)
         leader = synthetic_leader(BRAKING)
         self.check(leader, cfg, [(0.0, PlantParams(0.6, 0.7, sigma_eps=0.2))],
-                   equilibrium_follower(leader.sample(0), cfg))
+                   equilibrium_follower(leader, cfg))
 
     def test_switches_between_and_on_samples(self):
         leader = synthetic_leader(BRAKING)
@@ -427,7 +427,7 @@ class TestSimulateMatchesStepLoop:
             (3.0051, PlantParams(0.8, 0.6, sigma_eps=0.1)),  # both start at 3.01
             (on_sample, PlantParams(0.05, 1.2, sigma_eps=0.02)),
         ]
-        self.check(leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG))
+        self.check(leader, CFG, schedule, equilibrium_follower(leader, CFG))
 
     def test_switch_inside_a_harness_window(self):
         # the harness steps 2 s windows on one generator and hands each
@@ -438,7 +438,7 @@ class TestSimulateMatchesStepLoop:
             controller=CFG, schedule=schedule, leader_spec=BRAKING, window_length=2.0,
             sgld=SgldHyper(K_iters=200), strategy_enabled=False, seed=7))
         cols, collision_time, _ = step_reference(
-            leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG), seed=7)
+            leader, CFG, schedule, equilibrium_follower(leader, CFG), seed=7)
         assert_matches_reference(report.follower, leader, cols, collision_time)
 
     def test_saturated_demand(self):
@@ -481,14 +481,14 @@ class TestSimulateMatchesStepLoop:
         cfg = ControllerConfig(**kwargs)
         leader = synthetic_leader(BRAKING)
         self.check(leader, cfg, [(0.0, self.NOISY)],
-                   equilibrium_follower(leader.sample(0), cfg))
+                   equilibrium_follower(leader, cfg))
 
 
 class TestEulerStabilityGuard:
     @pytest.mark.parametrize("t_l", [0.005, 0.004, 0.001])
     def test_lag_at_or_below_half_step_rejected(self, t_l):
         leader = constant_leader(duration=1.0)
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         with pytest.raises(ValueError, match="Euler"):
             simulate(leader, CFG, [(0.0, PlantParams(t_l, 1.0))], init)
         with pytest.raises(ValueError, match="Euler"):
@@ -496,7 +496,7 @@ class TestEulerStabilityGuard:
 
     def test_lag_just_above_half_step_accepted(self):
         leader = constant_leader(duration=1.0)
-        init = equilibrium_follower(leader.sample(0), CFG)
+        init = equilibrium_follower(leader, CFG)
         res = simulate(leader, CFG, [(0.0, PlantParams(0.0051, 1.0))], init)
         assert len(res) == len(leader)
 
@@ -521,7 +521,7 @@ class TestScheduleCheck:
         schedule, message = self.BAD[case]
         leader = synthetic_leader(self.SPEC)
         with pytest.raises(ValueError, match=message):
-            simulate(leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG))
+            simulate(leader, CFG, schedule, equilibrium_follower(leader, CFG))
         with pytest.raises(ValueError, match=message):
             run_closed_loop(ScenarioConfig(controller=CFG, schedule=schedule,
                                            leader_spec=self.SPEC))
@@ -535,5 +535,5 @@ class TestScheduleCheck:
     def test_switch_at_the_last_sample_accepted(self):
         leader = synthetic_leader(self.SPEC)
         schedule = [(0.0, NOMINAL), (float(leader.time[-1]), self.DEGRADED)]
-        res = simulate(leader, CFG, schedule, equilibrium_follower(leader.sample(0), CFG))
+        res = simulate(leader, CFG, schedule, equilibrium_follower(leader, CFG))
         assert len(res) == len(leader)
