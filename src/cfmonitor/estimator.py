@@ -37,6 +37,9 @@ _BLOCK = 256
 # so the loop's per-row overhead is paid once per four blocks.  Columns are
 # resolved independently, so the slab width changes no index.
 _SLAB = 4 * _BLOCK
+# Rows of a block of chain inputs (see `_block_inputs`): the half step size,
+# the five minibatch sums and the two scaled noises.
+_BLOCK_ROWS = 8
 
 _DIVERGED = ("SGLD chain diverged (K_L or T_L left the positive floats); "
              "reduce sgld.eta_1 or sgld.max_drift")
@@ -229,9 +232,11 @@ def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
     """
     k = len(uniforms)
     # floor(U * m) with a 53-bit U is uniform on range(m) to within m/2**53.
-    # int32 halves the row loop's cost against intp; it holds every index of
-    # a batch under 2**31 samples, whose products alone would fill 80 GB
-    draws = (uniforms * np.arange(n - k + 1, n + 1)[:, None]).astype(np.int32)
+    # The narrowest integers that hold every index cut the row loop's cost:
+    # int16 below 2**15 samples, else int32, which holds every index of a
+    # batch under 2**31 samples, whose products alone would fill 80 GB
+    dtype = np.int16 if n < 2**15 else np.int32
+    draws = (uniforms * np.arange(n - k + 1, n + 1)[:, None]).astype(dtype)
     for c in range(1, k):
         row = draws[c]
         row[(draws[:c] == row).any(axis=0)] = n - k + c
@@ -240,14 +245,13 @@ def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
 
 def _slab_draws(seed: int, n: int, k: int, K_iters: int):
     """The batch-independent draws of one chain, per ``_SLAB`` of
-    iterations: the slab's first iteration, the ``(k, m)`` int32 minibatch
+    iterations: the slab's first iteration, the ``(k, m)`` minibatch
     indices into ``range(n)`` (None when ``k`` covers the batch) and the
     ``(m, 2)`` standard normals.
 
     Each ``_BLOCK`` draws its (k, m) uniforms, unless ``k`` covers the
     batch, and then its (m, 2) normals; the uniforms of a slab are turned
-    into indices in one pass.  Nothing here depends on the window's values,
-    so the draws can be made ahead of the chain, in another process.
+    into indices in one pass.
     """
     rng = np.random.default_rng(seed)
     for slab in range(0, K_iters, _SLAB):
@@ -262,30 +266,30 @@ def _slab_draws(seed: int, n: int, k: int, K_iters: int):
         yield slab, None if uniforms is None else _draw_minibatches(uniforms, n), normals
 
 
-def _checked_slabs(slabs, n: int, k: int, K_iters: int):
-    """``slabs`` as they are iterated, each checked against the slab layout
-    of a ``K_iters`` chain with ``k``-subsets of ``range(n)``."""
-    slabs = iter(slabs)
-    for slab in range(0, K_iters, _SLAB):
-        m = min(_SLAB, K_iters - slab)
-        got = next(slabs, None)
-        if (got is None or got[0] != slab or np.shape(got[2]) != (m, 2)
-                or (got[1] is None) != (k == n)
-                or (got[1] is not None and np.shape(got[1]) != (k, m))):
-            raise ValueError(f"supplied draws do not fit the {m} iterations "
-                             f"from {slab} with minibatches of {k}")
-        yield got
-    if next(slabs, None) is not None:
-        raise ValueError(f"supplied draws run past K_iters = {K_iters}")
+def _scaled_products(batch: ObservationBatch, hyper: SgldHyper) -> np.ndarray:
+    """The batch's `_products`, each divided by ``sigma_sq`` and scaled from
+    a minibatch to the full batch, so a minibatch's column sums are its
+    likelihood sums.  Observations so large that a product overflows raise
+    ``ValueError``."""
+    n = len(batch)
+    # finite but huge observations overflow the sums; the resulting NaN
+    # drift would slip past the max_drift clip and overflow exp()
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _products(batch) * (n / (min(hyper.minibatch_n, n) * hyper.sigma_sq))
+    if not np.isfinite(products).all():
+        raise ValueError("observations too large: the likelihood sums overflow")
+    return products
 
 
 def _block_inputs(products: np.ndarray, slabs, eta_1: float):
-    """Per ``_BLOCK`` of iterations: the first iteration's index, then eight
-    lists, one value per iteration: the half step sizes ``eta/2``, the five
-    minibatch sums of ``products`` and the two scaled Langevin noises.
+    """Per ``_BLOCK`` of iterations: the first iteration's index and an
+    ``(8, m)`` float64 array of the chain's inputs, one column per
+    iteration: the half step size ``eta/2``, the five minibatch sums of
+    ``products`` and the two scaled Langevin noises.
 
     Indices and normals come from ``slabs`` (see `_slab_draws`); each block
-    gathers its own sums.
+    gathers its own sums.  Nothing here depends on the chain's state, so
+    the blocks can be made ahead of the chain, in another process.
     """
     full = None
     for slab, draws, normals in slabs:
@@ -293,17 +297,34 @@ def _block_inputs(products: np.ndarray, slabs, eta_1: float):
         for start in range(slab, end, _BLOCK):
             stop = min(start + _BLOCK, end)
             etas = eta_1 / np.arange(start + 1, stop + 1)
+            block = np.empty((_BLOCK_ROWS, stop - start))
+            block[0] = 0.5 * etas
             if draws is None:
                 if full is None:
-                    full = products.sum(axis=0).tolist()
-                sums = [[s] * (stop - start) for s in full]
+                    full = products.sum(axis=0)[:, None]
+                block[1:6] = full
             else:
                 # the same (k, m, 5) gather as products[cols], at a fraction
                 # of fancy indexing's cost; summed in the same order
                 cols = draws[:, start - slab:stop - slab]
-                sums = np.take(products, cols, axis=0).sum(axis=0).T.tolist()
-            noise = (normals[start - slab:stop - slab] * np.sqrt(etas)[:, None]).T.tolist()
-            yield start, (0.5 * etas).tolist(), *sums, *noise
+                block[1:6] = np.take(products, cols, axis=0).sum(axis=0).T
+            block[6:] = (normals[start - slab:stop - slab] * np.sqrt(etas)[:, None]).T
+            yield start, block
+
+
+def _checked_blocks(blocks, K_iters: int):
+    """``blocks`` as they are iterated, each checked against the block
+    layout of a ``K_iters`` chain."""
+    blocks = iter(blocks)
+    for start in range(0, K_iters, _BLOCK):
+        m = min(_BLOCK, K_iters - start)
+        got = next(blocks, None)
+        if got is None or got[0] != start or np.shape(got[1]) != (_BLOCK_ROWS, m):
+            raise ValueError(f"supplied blocks do not fit the {m} iterations "
+                             f"from {start}")
+        yield got
+    if next(blocks, None) is not None:
+        raise ValueError(f"supplied blocks run past K_iters = {K_iters}")
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -329,7 +350,7 @@ def sgld_run(
     hyper: SgldHyper,
     fix_lag: float | None = None,
     *,
-    draws=None,
+    blocks=None,
 ) -> PosteriorEstimate:
     """Optimization-then-sampling over the window's posterior.
 
@@ -338,27 +359,23 @@ def sgld_run(
     (K_L, T_L) posterior itself).  ``fix_lag`` freezes T_L at the given
     value and samples K_L only.  Deterministic given ``hyper.seed``.
 
-    Minibatch gradients come from sums of the pre-scaled ``_products``;
-    indices and noise are drawn ``_BLOCK`` iterations at a time, index
-    collisions are resolved ``_SLAB`` iterations at a time, and the chain
-    itself steps on plain floats.  ``draws``, when given, supplies those
-    indices and noise as `_slab_draws` yields them, made ahead (for example
-    in another process); a slab that does not fit the chain raises
-    ``ValueError``.  A chain that leaves the positive floats raises
+    Minibatch gradients come from sums of `_scaled_products`; indices and
+    noise are drawn ``_BLOCK`` iterations at a time, index collisions are
+    resolved ``_SLAB`` iterations at a time, and the chain itself steps on
+    plain floats.  ``blocks``, when given, supplies the chain's inputs as
+    `_block_inputs` yields them for this batch and ``hyper``, made ahead
+    (for example in another process); a block that does not fit the chain
+    raises ``ValueError``.  A chain that leaves the positive floats raises
     ``ValueError``.
     """
-    n_total = len(batch)
-    n_mb = min(hyper.minibatch_n, n_total)
-    if draws is None:
-        draws = _slab_draws(hyper.seed, n_total, n_mb, hyper.K_iters)
+    if blocks is None:
+        n_total = len(batch)
+        products = _scaled_products(batch, hyper)
+        blocks = _block_inputs(products, _slab_draws(
+            hyper.seed, n_total, min(hyper.minibatch_n, n_total), hyper.K_iters),
+            hyper.eta_1)
     else:
-        draws = _checked_slabs(draws, n_total, n_mb, hyper.K_iters)
-    # finite but huge observations overflow the sums; the resulting NaN
-    # drift would slip past the max_drift clip and overflow exp()
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = _products(batch) * (n_total / (n_mb * hyper.sigma_sq))
-    if not np.isfinite(products).all():
-        raise ValueError("observations too large: the likelihood sums overflow")
+        blocks = _checked_blocks(blocks, hyper.K_iters)
 
     m_K, m_T = (float(m) for m in prior.mean)
     var = prior.variance
@@ -375,9 +392,9 @@ def sgld_run(
     samples = np.empty((hyper.K_iters - burn, 2))
     exp, hypot = math.exp, math.hypot
     try:
-        for start, *columns in _block_inputs(products, draws, hyper.eta_1):
+        for start, block in blocks:
             flat = []  # the block's iterates as K, T, K, T, ...
-            for h, s_ju, s_uu, s_au, s_ja, s_aa, z_K, z_T in zip(*columns):
+            for h, s_ju, s_uu, s_au, s_ja, s_aa, z_K, z_T in zip(*block.tolist()):
                 # _lik_grad, written out: the same operations in the same order
                 alpha, beta = K / T, 1.0 / T
                 g_alpha = s_ju - alpha * s_uu + beta * s_au

@@ -21,10 +21,13 @@ import numpy as np
 
 from . import monitor, plant
 from .estimator import (
-    _SLAB,
+    _BLOCK,
+    _BLOCK_ROWS,
     GaussianPrior,
     PosteriorEstimate,
     SgldHyper,
+    _block_inputs,
+    _scaled_products,
     _slab_draws,
     batch_from_series,
     sgld_run,
@@ -263,19 +266,16 @@ def synthetic_leader(spec: SyntheticLeaderSpec) -> Trajectory:
     total = starts[-1]
     n = int(round(total / t_s)) + 1
     time = np.arange(n) * t_s
-    position = np.empty(n)
-    speed = np.empty(n)
-    accel = np.empty(n)
-    seg_i = 0
-    for i, t in enumerate(time):
-        while seg_i + 1 < len(spec.segments) and t >= starts[seg_i + 1] - 1e-12:
-            seg_i += 1
-        v0, x0 = states[seg_i]
-        a = spec.segments[seg_i].accel
-        dt = t - starts[seg_i]
-        accel[i] = a
-        speed[i] = max(0.0, v0 + a * dt)
-        position[i] = x0 + v0 * dt + 0.5 * a * dt**2
+    # the segment of each sample: a sample within 1e-12 s of a segment's
+    # start belongs to that segment
+    which = np.searchsorted(np.array(starts[1:-1]) - 1e-12, time, side="right")
+    v0, x0 = np.array(states[:-1])[which].T
+    accel = np.array([segment.accel for segment in spec.segments])[which]
+    dt = time - np.array(starts[:-1])[which]
+    speed = v0 + accel * dt
+    # max(0.0, v) of each sample, -0.0 and NaN included
+    speed = np.where(speed > 0.0, speed, 0.0)
+    position = x0 + v0 * dt + 0.5 * accel * np.power(dt, 2.0)
     return Trajectory(time, position, speed, accel)
 
 
@@ -346,25 +346,30 @@ def _forked(work):
             os.waitpid(pid, 0)
 
 
-# bytes the prefetch pipe holds: about one default window's draws (four
-# slabs of 128 KiB of indices and 16 KiB of normals), so the child can run a
-# window ahead; with the default 64 KiB the loop waited on its reads
+# bytes the block pipe holds: more than a default window's blocks (16 of
+# 8 x 256 float64, 256 KiB), so the helper writes a window's blocks without
+# waiting on the chain and then makes the next window's draws while it runs
 _PIPE_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
-def _prefetched_draws(seeds, n: int, hyper: SgldHyper):
-    """While the block runs, a forked child makes the SGLD draws of every
-    window ahead of its chain: `_slab_draws` with seed ``seeds[w]``, ``n``
-    samples and ``hyper``'s minibatch size and iterations, written to a pipe
-    as raw bytes in window order.  The pipe's capacity bounds how far ahead
-    the child runs.
+def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
+    """While the block runs, a forked helper makes the SGLD chain inputs of
+    every window, in window order.  For window ``w`` it makes the draws
+    (`_slab_draws` with seed ``seeds[w]``, ``n`` samples and ``hyper``'s
+    minibatch size and iterations) ahead of the window, reads the window's
+    ``(n, 5)`` `_scaled_products` from one pipe, and writes its
+    `_block_inputs` as raw float64 bytes to another.  The block pipe's
+    capacity bounds how far ahead the helper runs.
 
-    Yields ``window_draws(w)``, which reads window ``w``'s slabs for
-    `sgld_run`'s ``draws``; windows are read in order, each to its end.
-    Yields None, and each chain draws its own, when there is no window or
-    `_can_offload` is false, or the fork fails.  A child that ends early
-    makes the read raise ``OSError`` naming the window.
+    Yields ``window_blocks(w, batch)``, which sends window ``w``'s products
+    (raising ``ValueError`` where they overflow) and returns its blocks for
+    `sgld_run`'s ``blocks``; windows are taken in order, each read to its
+    end.  Yields None, and each chain makes its own inputs, when there is
+    no window or `_can_offload` is false, or the fork fails.  A helper that
+    ends early makes the send or the read raise ``OSError`` naming the
+    window.  Where this thread may run on two or more CPUs, it keeps to the
+    lowest of them until the block ends, and the helper to the others.
     """
     if not (seeds and _can_offload()):
         yield None
@@ -372,38 +377,75 @@ def _prefetched_draws(seeds, n: int, hyper: SgldHyper):
     import fcntl  # POSIX, as fork is
 
     k, K_iters = min(hyper.minibatch_n, n), hyper.K_iters
+    # Each pipe write wakes the other process as one that the writer is about
+    # to wait for, so the scheduler tends to run both on the writer's CPU,
+    # one preempting the other while a CPU idles.  Where the CPUs can be
+    # chosen, the calling thread keeps to one of them while the helper runs
+    # and the helper to the rest.
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    own = {min(cpus)} if len(cpus) >= 2 else None
 
     def produce():
-        reader.close()  # so the writes fail, not block, once the parent is gone
+        # the parent's ends: the writes fail, not block, once it is gone
+        from_helper.close()
+        to_helper.close()
+        if own:
+            with contextlib.suppress(OSError):  # e.g. a CPU taken away meanwhile
+                os.sched_setaffinity(0, cpus - own)
+        products = np.empty((n, 5))
         for seed in seeds:
-            for _, draws, normals in _slab_draws(seed, n, k, K_iters):
-                if draws is not None:
-                    writer.write(draws)
-                writer.write(normals)
-            writer.flush()
+            slabs = list(_slab_draws(seed, n, k, K_iters))
+            if products_in.readinto(products) != products.nbytes:
+                return  # the parent took no more windows
+            for _, block in _block_inputs(products, slabs, hyper.eta_1):
+                blocks_out.write(block)
+            blocks_out.flush()
 
-    def window_draws(w):
-        for slab in range(0, K_iters, _SLAB):
-            m = min(_SLAB, K_iters - slab)
-            draws = None if k == n else np.empty((k, m), np.int32)
-            normals = np.empty((m, 2))
-            for arr in (draws, normals):
-                if arr is not None and reader.readinto(arr) != arr.nbytes:
-                    raise OSError("the process drawing SGLD inputs ahead ended "
-                                  f"before the draws of window {w}")
-            yield slab, draws, normals
+    def ended(w):
+        return OSError("the process making SGLD inputs ahead ended before "
+                       f"the inputs of window {w}")
 
-    read_fd, write_fd = os.pipe()
+    def window_blocks(w, batch):
+        view = memoryview(_scaled_products(batch, hyper)).cast("B")
+        try:
+            while view:
+                view = view[to_helper.write(view):]
+        except BrokenPipeError:
+            raise ended(w) from None
+        return read_blocks(w)
+
+    def read_blocks(w):
+        for start in range(0, K_iters, _BLOCK):
+            block = np.empty((_BLOCK_ROWS, min(_BLOCK, K_iters - start)))
+            if from_helper.readinto(block) != block.nbytes:
+                raise ended(w)
+            yield start, block
+
+    blocks_read, blocks_write = os.pipe()
+    products_read, products_write = os.pipe()
     with contextlib.ExitStack() as stack:
-        reader = stack.enter_context(open(read_fd, "rb"))
-        with open(write_fd, "wb") as writer:
+        from_helper = stack.enter_context(open(blocks_read, "rb"))
+        # unbuffered, so a failed send leaves nothing to flush at close
+        to_helper = stack.enter_context(open(products_write, "wb", buffering=0))
+        with open(blocks_write, "wb") as blocks_out, \
+                open(products_read, "rb") as products_in:
             set_size = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
             if set_size is not None:
                 with contextlib.suppress(OSError):  # e.g. above the user's limit
-                    fcntl.fcntl(write_fd, set_size, _PIPE_BYTES)
+                    fcntl.fcntl(blocks_write, set_size, _PIPE_BYTES)
             forked = stack.enter_context(_forked(produce))
-        # the write end is closed here, so the child's end reads as EOF
-        yield None if forked is None else window_draws
+            if forked is not None and own:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, own)
+                    stack.callback(_restore_affinity, cpus)
+        # the helper's ends are closed here, so its exit reads as EOF and
+        # makes a send fail
+        yield None if forked is None else window_blocks
+
+
+def _restore_affinity(cpus) -> None:
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
@@ -426,14 +468,17 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     n = len(leader)
     n_windows = (n - 1) // win_steps
 
-    pieces: list[plant.SimulationResult] = []
+    # the follower's columns, in SimulationResult's order, filled window by
+    # window up to `filled`
+    follower_cols = np.empty((6, n))
+    filled = 0
     windows: list[WindowRecord] = []
     prior = GaussianPrior(scenario.prior_mean, scenario.prior_variance)
     collision_time = None
     start = 0
     w = 0
     seeds = [_window_seed(scenario.seed, i) for i in range(n_windows)]
-    with _prefetched_draws(seeds, win_steps, scenario.sgld) as window_draws:
+    with _prefetched_blocks(seeds, win_steps, scenario.sgld) as window_blocks:
         while start < n and collision_time is None:
             stop = min(start + win_steps, n)
             active_cfg = (cfg if tau_active == cfg.tau_star
@@ -441,7 +486,10 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
             piece = plant._simulate_inner(
                 leader, active_cfg, scenario.schedule, ego, plant_rng, start, stop
             )
-            pieces.append(piece)
+            follower_cols[:, filled:filled + len(piece)] = (
+                piece.time, piece.position, piece.speed, piece.accel, piece.jerk,
+                piece.demanded_accel)
+            filled += len(piece)
             collision_time = piece.collision_time
             if collision_time is not None or len(piece) < stop - start:
                 break
@@ -453,8 +501,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                     piece.accel, piece.demanded_accel, cfg.t_s,
                     t_start=float(piece.time[0]),
                 )
-                estimate = sgld_run(batch, prior, hyper, draws=(
-                    None if window_draws is None else window_draws(w)))
+                estimate = sgld_run(batch, prior, hyper, blocks=(
+                    None if window_blocks is None else window_blocks(w, batch)))
                 decision = monitor.evaluate(estimate, cfg, scenario.policy)
                 applied = False
                 if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:
@@ -476,7 +524,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                     tau_active = max(cfg.tau_star, tau_active - max_step)
             start = stop
 
-    follower = _concat_results(pieces, collision_time)
+    follower = plant.SimulationResult(*follower_cols[:, :filled], collision_time)
     switch_time = _first_switch(scenario.schedule)
     return RunReport(
         leader=leader,
@@ -488,24 +536,6 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
         post_switch_accel_rms=_accel_rms(follower, switch_time),
         max_abs_jerk=float(np.max(np.abs(follower.jerk))) if len(follower) else 0.0,
         min_gap=_min_gap(leader, follower),
-    )
-
-
-def _concat_results(
-    pieces: list[plant.SimulationResult], collision_time: float | None
-) -> plant.SimulationResult:
-    if not pieces:
-        empty = np.empty(0)
-        return plant.SimulationResult(empty, empty, empty, empty, empty, empty,
-                                      collision_time)
-    return plant.SimulationResult(
-        np.concatenate([p.time for p in pieces]),
-        np.concatenate([p.position for p in pieces]),
-        np.concatenate([p.speed for p in pieces]),
-        np.concatenate([p.accel for p in pieces]),
-        np.concatenate([p.jerk for p in pieces]),
-        np.concatenate([p.demanded_accel for p in pieces]),
-        collision_time,
     )
 
 

@@ -199,7 +199,7 @@ class TestSplitWriter:
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
         assert "I/O error: failed writing outputs under" in capsys.readouterr().err
-        # the closed loop's draws are prefetched by a fork of their own
+        # the closed loop's SGLD inputs are made by a fork of their own
         assert forks.count("_write_float_csvs") == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfmonitor import harness
 from cfmonitor.estimator import (
     _BLOCK,
-    _SLAB,
+    _block_inputs,
     _draw_minibatches,
     _lik_grad,
     _products,
+    _scaled_products,
     _slab_draws,
     GaussianPrior,
     ObservationBatch,
@@ -276,6 +278,21 @@ class TestMinibatchDraws:
         # upper 0.1 % points of chi^2 with 49 and 39 degrees of freedom
         assert stat < {50: 85.35, 40: 72.05}[n]
 
+    @pytest.mark.parametrize("n,dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+    def test_narrow_indices_match_int64(self, n, dtype):
+        k = 32
+        uniforms = np.random.default_rng(n).random((k, 300))
+        uniforms[:, 0] = 1.0 - 2.0**-53  # every row takes its top index
+        uniforms[:, 1] = 0.0             # every row after the first collides
+        draws = _draw_minibatches(uniforms, n)
+        # Floyd's algorithm on int64, the reference for the narrow integers
+        ref = (uniforms * np.arange(n - k + 1, n + 1)[:, None]).astype(np.int64)
+        for c in range(1, k):
+            row = ref[c]
+            row[(ref[:c] == row).any(axis=0)] = n - k + c
+        assert draws.dtype == dtype
+        assert np.array_equal(draws, ref) and draws.max() == n - 1
+
     def test_every_subset_equally_likely(self):
         count = 20_000
         draws = _draw_minibatches(np.random.default_rng(2).random((2, count)), 5)
@@ -402,37 +419,43 @@ class TestSgldRun:
         (200, 32, 0.3, 1100),
         (200, 10**6, None, 1100),  # full batch
     ])
-    def test_supplied_draws_match_in_process(self, n, minibatch_n, fix_lag, K_iters):
+    def test_supplied_draws_match_in_process(self, n, minibatch_n, fix_lag, K_iters,
+                                             forks, assert_no_children):
         batch = synthetic_batch(1.0, 0.3, n=n, seed=n)
         hyper = SgldHyper(K_iters=K_iters, minibatch_n=minibatch_n, seed=K_iters)
-        # all made before the chain starts, as a prefetching process makes them
-        draws = list(_slab_draws(hyper.seed, n, min(minibatch_n, n), K_iters))
-        est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag, draws=draws)
+        # all made by the closed loop's forked helper before the chain starts
+        with harness._prefetched_blocks([hyper.seed], n, hyper) as window_blocks:
+            blocks = list(window_blocks(0, batch))
+        assert forks == ["_prefetched_blocks"]
+        assert_no_children()
+        in_process = list(_block_inputs(
+            _scaled_products(batch, hyper),
+            _slab_draws(hyper.seed, n, min(minibatch_n, n), K_iters), hyper.eta_1))
+        assert [start for start, _ in blocks] == [start for start, _ in in_process]
+        for (_, got), (_, want) in zip(blocks, in_process):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag, blocks=blocks)
         ref = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag)
         assert est.samples.tobytes() == ref.samples.tobytes()
 
-    @pytest.mark.parametrize("misfit", ["short_indices", "short_normals",
-                                        "indices_for_full_batch", "missing_slab",
-                                        "extra_slab", "wrong_start"])
+    @pytest.mark.parametrize("misfit", ["wrong_start", "wrong_shape",
+                                        "missing_block", "extra_block"])
     def test_misfit_draws_rejected(self, misfit):
         batch = synthetic_batch(1.0, 0.3, n=200, seed=3)
         hyper = SgldHyper(K_iters=1100, seed=3)
-        draws = list(_slab_draws(3, 200, 32, 1100))
-        start, idx, z = draws[1]
-        if misfit == "short_indices":
-            draws[1] = start, idx[1:], z
-        elif misfit == "short_normals":
-            draws[1] = start, idx, z[1:]
-        elif misfit == "indices_for_full_batch":
-            hyper = replace(hyper, minibatch_n=200)
-        elif misfit == "missing_slab":
-            del draws[1]
-        elif misfit == "extra_slab":
-            draws.append((start + _SLAB, idx, z))
+        blocks = list(_block_inputs(_scaled_products(batch, hyper),
+                                    _slab_draws(3, 200, 32, 1100), hyper.eta_1))
+        start, block = blocks[1]
+        if misfit == "wrong_start":
+            blocks[1] = start - 1, block
+        elif misfit == "wrong_shape":
+            blocks[1] = start, block[:, 1:]
+        elif misfit == "missing_block":
+            del blocks[1]
         else:
-            draws[1] = start - 1, idx, z
-        with pytest.raises(ValueError, match="supplied draws"):
-            sgld_run(batch, WIDE_PRIOR, hyper, draws=draws)
+            blocks.append((1100, blocks[-1][1]))
+        with pytest.raises(ValueError, match="supplied blocks"):
+            sgld_run(batch, WIDE_PRIOR, hyper, blocks=blocks)
 
     @pytest.mark.parametrize("kwargs,seed", [
         ({"eta_1": 1e6}, 0),      # ZeroDivisionError: T_L underflowed to 0

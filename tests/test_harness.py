@@ -59,6 +59,35 @@ COLLIDING = short_scenario(leader_spec=BRAKING,
                            schedule=[(0.0, PlantParams(1.5, 0.5, 0.0))])
 
 
+def scalar_leader(spec):
+    """`synthetic_leader` as it was written before it was vectorized, one
+    sample at a time: the reference for its bytes."""
+    t_s = spec.t_s
+    v, x = spec.v0, spec.x0
+    starts = [0.0]
+    states = [(v, x)]
+    for seg in spec.segments:
+        v_end = v + seg.accel * seg.duration
+        x += v * seg.duration + 0.5 * seg.accel * seg.duration**2
+        v = v_end
+        starts.append(starts[-1] + seg.duration)
+        states.append((v, x))
+    n = int(round(starts[-1] / t_s)) + 1
+    time = np.arange(n) * t_s
+    position, speed, accel = np.empty(n), np.empty(n), np.empty(n)
+    seg_i = 0
+    for i, t in enumerate(time):
+        while seg_i + 1 < len(spec.segments) and t >= starts[seg_i + 1] - 1e-12:
+            seg_i += 1
+        v0, x0 = states[seg_i]
+        a = spec.segments[seg_i].accel
+        dt = t - starts[seg_i]
+        accel[i] = a
+        speed[i] = max(0.0, v0 + a * dt)
+        position[i] = x0 + v0 * dt + 0.5 * a * dt**2
+    return Trajectory(time, position, speed, accel)
+
+
 class TestSyntheticLeader:
     def test_constant_speed_straight_line(self):
         traj = synthetic_leader(SyntheticLeaderSpec(
@@ -73,6 +102,25 @@ class TestSyntheticLeader:
             v0=30.0))
         at_pulse_end = np.searchsorted(traj.time, 3.0)
         assert traj.speed[at_pulse_end] == pytest.approx(24.0)
+
+    @pytest.mark.parametrize("spec,final_speed", [
+        (harness.default_leader_spec(), 20.0),
+        # boundaries 4e-17 s after the sample at 0.3 s, on the sample at
+        # 1 s and between samples at 1.005 s, and a last segment that brakes
+        # to exactly 0 m/s
+        (SyntheticLeaderSpec(segments=(
+            LeaderSegment(0.1, 0.0), LeaderSegment(0.2, 0.5),
+            LeaderSegment(0.7, 0.0), LeaderSegment(0.005, 0.0),
+            LeaderSegment(1.995, 0.0), LeaderSegment(2.0, -5.05)), v0=10.0), 0.0),
+        # speeds of -0.0, which max(0.0, v) turns into 0.0
+        (SyntheticLeaderSpec(segments=(LeaderSegment(0.05, -0.0),), v0=-0.0), 0.0),
+    ])
+    def test_matches_scalar_loop(self, spec, final_speed):
+        traj = synthetic_leader(spec)
+        ref = scalar_leader(spec)
+        assert ref.speed[-1] == final_speed
+        for f in ("time", "position", "speed", "accel"):
+            assert getattr(traj, f).tobytes() == getattr(ref, f).tobytes(), f
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -261,8 +309,8 @@ class TestRunClosedLoop:
 
 
 class TestPrefetchedDraws:
-    """The closed loop's SGLD draws, made ahead by a forked child, against
-    the draws each chain makes in-process."""
+    """The closed loop's SGLD chain inputs, made by a forked helper, against
+    the inputs each chain makes in-process."""
 
     @pytest.fixture
     def config(self, tmp_path):
@@ -281,10 +329,14 @@ class TestPrefetchedDraws:
 
     @staticmethod
     def simulate(cfg, out):
-        """Exit code and stderr of ``cfmonitor simulate``."""
+        """Exit code and stderr of ``cfmonitor simulate``, which leaves this
+        thread's CPU set as it found it."""
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        if cpus is not None:
+            assert os.sched_getaffinity(0) == cpus
         return code, err.getvalue()
 
     @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n",
@@ -295,7 +347,7 @@ class TestPrefetchedDraws:
                                               no_prefetch):
         cfg = config(sgld)
         assert self.simulate(cfg, tmp_path / "prefetch") == (0, "")
-        assert forks.count("_prefetched_draws") == 1
+        assert forks.count("_prefetched_blocks") == 1
         if no_prefetch == "one_cpu":
             monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         elif no_prefetch == "no_fork":
@@ -305,7 +357,7 @@ class TestPrefetchedDraws:
                 raise BlockingIOError(11, "Resource temporarily unavailable")
             monkeypatch.setattr(os, "fork", fork)
         assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
-        assert forks.count("_prefetched_draws") == 1
+        assert forks.count("_prefetched_blocks") == 1
         names = sorted(os.listdir(tmp_path / "prefetch"))
         assert names == sorted(os.listdir(tmp_path / "in_process"))
         for name in names:
@@ -329,13 +381,21 @@ class TestPrefetchedDraws:
         code, err = self.simulate(config("sgld.K_iters = 1100\n"), tmp_path / "out")
         assert code == 4
         assert err.startswith("I/O error: ") and err.rstrip().endswith(" window 2")
-        assert forks.count("_prefetched_draws") == 1
+        assert forks.count("_prefetched_blocks") == 1
+        assert_no_children()
+
+    def test_diverged_chain_exits_2(self, tmp_path, forks, assert_no_children,
+                                    config):
+        code, err = self.simulate(config("sgld.K_iters = 1100\nsgld.eta_1 = 1e6\n"),
+                                  tmp_path / "out")
+        assert code == 2 and "SGLD chain diverged" in err
+        assert forks.count("_prefetched_blocks") == 1
         assert_no_children()
 
     def test_collision_mid_run_reaps_child(self, forks, assert_no_children):
         report = run_closed_loop(COLLIDING)
         assert report.collision_time is not None and report.windows
-        assert forks == ["_prefetched_draws"]
+        assert forks == ["_prefetched_blocks"]
         assert_no_children()
 
 
