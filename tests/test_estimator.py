@@ -438,8 +438,9 @@ class TestSgldRun:
         ref = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag)
         assert est.samples.tobytes() == ref.samples.tobytes()
 
-    @pytest.mark.parametrize("misfit", ["wrong_start", "wrong_shape",
-                                        "missing_block", "extra_block"])
+    @pytest.mark.parametrize("misfit", ["wrong_start", "short_indices",
+                                        "short_normals", "missing_block",
+                                        "extra_block"])
     def test_misfit_draws_rejected(self, misfit):
         batch = synthetic_batch(1.0, 0.3, n=200, seed=3)
         hyper = SgldHyper(K_iters=1100, seed=3)
@@ -448,8 +449,12 @@ class TestSgldRun:
         start, block = blocks[1]
         if misfit == "wrong_start":
             blocks[1] = start - 1, block
-        elif misfit == "wrong_shape":
+        elif misfit == "short_indices":
+            # one iteration's minibatch sums too few
             blocks[1] = start, block[:, 1:]
+        elif misfit == "short_normals":
+            # the two noise rows left off
+            blocks[1] = start, block[:6]
         elif misfit == "missing_block":
             del blocks[1]
         else:
