@@ -15,9 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import stability
+from . import plant, stability
 from .config import ConfigError, parse_config_file, scenario_from_config
-from .estimator import GaussianPrior, SgldHyper, batch_from_series, sgld_run
+from .estimator import GaussianPrior, batch_from_series, sgld_run
 from .harness import (
     default_leader_spec,
     default_scenario,
@@ -28,6 +28,7 @@ from .harness import (
     run_closed_loop,
     save_trajectory,
     synthetic_leader,
+    write_csv_columns,
 )
 
 EXIT_OK = 0
@@ -55,11 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="offline estimation from a log CSV")
     est.add_argument("csv", help="CSV with columns time,accel,demand")
-    est.add_argument("--config", help="flat key=value scenario file (sgld.* keys)")
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--config", help="flat key=value scenario file (sgld.*, "
+                                      "prior.* and seed keys)")
+    est.add_argument("--seed", type=int, help="override the scenario seed")
     est.add_argument("--out", help="write the estimate JSON here instead of stdout")
 
     stab = sub.add_parser("stability", help="stability verdict and region sweep")
+    # argparse's private matcher, widened so that a --range spec such as
+    # -3:0:31 is a value, not an option (test_negative_range_bound checks it)
+    import re
+    stab._negative_number_matcher = re.compile(r"^-\.?\d")
     stab.add_argument("--config", help="flat key=value scenario file")
     stab.add_argument("--sweep", nargs=2, metavar=("P1", "P2"),
                       help="sweep two of k_s,k_v,k_a,tau_star")
@@ -107,22 +113,16 @@ def _read_log_csv(path):
     data = read_csv_columns(path, ("time", "accel", "demand"))
     if len(data) < 3:
         raise ValueError(f"{path}: need at least 3 samples")
-    t_s = float(data[1, 0] - data[0, 0])
-    if t_s <= 0 or not np.allclose(np.diff(data[:, 0]), t_s, rtol=1e-6, atol=1e-9):
-        raise ValueError(f"{path}: non-uniform time column")
+    t_s = plant.sampling_step(data[:, 0], path=path)
     return data[:, 1], data[:, 2], t_s, float(data[0, 0])
 
 
 def _cmd_estimate(args) -> int:
     accel, demand, t_s, t0 = _read_log_csv(args.csv)
-    if args.config:
-        scenario = scenario_from_config(parse_config_file(args.config))
-        hyper, prior = scenario.sgld, GaussianPrior(scenario.prior_mean,
-                                                    scenario.prior_variance)
-    else:
-        hyper, prior = SgldHyper(), GaussianPrior((1.0, 0.3), 10.0)
+    scenario = _load_scenario(args)
     batch = batch_from_series(accel, demand, t_s, t_start=t0)
-    est = sgld_run(batch, prior, replace(hyper, seed=args.seed))
+    est = sgld_run(batch, GaussianPrior(scenario.prior_mean, scenario.prior_variance),
+                   replace(scenario.sgld, seed=scenario.seed))
     payload = json.dumps(estimate_record(est), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -170,7 +170,14 @@ def _cmd_stability(args) -> int:
         region = stability.stability_region(
             p1, np.linspace(lo1, hi1, n1), p2, np.linspace(lo2, hi2, n2), cfg
         )
-        stability.region_to_csv(region, args.out)
+        # one row per cell, the second parameter varying fastest
+        g1, g2 = np.meshgrid(region.grid1, region.grid2, indexing="ij")
+        margins = region.margins.reshape(g1.size, -1).T
+        write_csv_columns([(args.out, [
+            p1, p2, "locally_stable", "string_stable",
+            *(f"margin_{i}" for i in range(1, len(margins) + 1)),
+        ], (g1.ravel(), g2.ravel(), region.locally_stable.ravel().astype(int),
+            region.string_stable.ravel().astype(int), *margins))])
         print(json.dumps({"region_csv": args.out,
                           "stable_cells": region.stable_cell_count()}))
     return EXIT_OK

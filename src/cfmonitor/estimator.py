@@ -189,18 +189,6 @@ def _products(batch: ObservationBatch) -> np.ndarray:
     return np.column_stack([j * u, u * u, a * u, j * a, a * a])
 
 
-def _lik_grad(K_L, T_L, s_ju, s_uu, s_au, s_ja, s_aa) -> tuple[float, float]:
-    """Gradient in (K_L, T_L) of the log likelihood from the five product
-    sums, each already divided by sigma_sq and scaled to the full batch.
-    `sgld_run`'s chain loop holds a written-out copy, with the same
-    operations in the same order."""
-    alpha, beta = K_L / T_L, 1.0 / T_L
-    # d/d(alpha) and d/d(beta) of -sum(r^2)/2 with r = j - alpha u + beta a
-    g_alpha = s_ju - alpha * s_uu + beta * s_au
-    g_beta = alpha * s_au - s_ja - beta * s_aa
-    return g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
-
-
 def grad_log_posterior(
     batch: ObservationBatch,
     theta,
@@ -208,7 +196,8 @@ def grad_log_posterior(
     sigma_sq: float,
     n_total: int | None = None,
 ) -> np.ndarray:
-    """Analytic gradient of the log posterior in (K_L, T_L).
+    """Analytic gradient of the log posterior in (K_L, T_L), from the
+    residuals as `log_posterior` computes them.
 
     When ``batch`` is a minibatch, ``n_total`` rescales the likelihood sum
     to the full-batch size.
@@ -216,10 +205,11 @@ def grad_log_posterior(
     K_L, T_L = theta
     if T_L <= 0:
         raise ValueError("T_L must be positive")
+    model = K_L * batch.demand - batch.accel
+    r = batch.jerk - model / T_L
     scale = 1.0 if n_total is None else n_total / len(batch)
-    sums = _products(batch).sum(axis=0) * (scale / sigma_sq)
-    return prior.grad_log_density(theta) + np.array(
-        _lik_grad(K_L, T_L, *sums.tolist()))
+    g_lik = np.array([r @ batch.demand / T_L, -(r @ model) / T_L**2])
+    return prior.grad_log_density(theta) + g_lik * (scale / sigma_sq)
 
 
 def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
@@ -395,7 +385,9 @@ def sgld_run(
         for start, block in blocks:
             flat = []  # the block's iterates as K, T, K, T, ...
             for h, s_ju, s_uu, s_au, s_ja, s_aa, z_K, z_T in zip(*block.tolist()):
-                # _lik_grad, written out: the same operations in the same order
+                # the likelihood gradient from the five sums: d/d(alpha) and
+                # d/d(beta) of -sum(r^2)/2 with r = j - alpha u + beta a,
+                # alpha = K/T and beta = 1/T, then in (K, T) by the chain rule
                 alpha, beta = K / T, 1.0 / T
                 g_alpha = s_ju - alpha * s_uu + beta * s_au
                 g_beta = alpha * s_au - s_ja - beta * s_aa

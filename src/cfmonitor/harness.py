@@ -44,6 +44,7 @@ __all__ = [
     "RunReport",
     "load_leader",
     "read_csv_columns",
+    "write_csv_columns",
     "save_trajectory",
     "smooth_acceleration",
     "synthetic_leader",
@@ -58,6 +59,8 @@ LEADER_COLUMNS = ("time", "position", "speed", "accel")
 FOLLOWER_COLUMNS = ("time", "position", "speed", "accel", "jerk", "demanded_accel")
 OVERLAY_COLUMNS = ("time", "leader_speed", "leader_accel", "follower_speed",
                    "follower_accel")
+TIMELINE_COLUMNS = ("t_end", "K_L_mean", "K_L_lo", "K_L_hi", "T_L_mean", "T_L_lo",
+                    "T_L_hi", "anomaly")
 
 
 @dataclass(frozen=True)
@@ -201,13 +204,12 @@ def load_leader(path) -> Trajectory:
     data = read_csv_columns(path, LEADER_COLUMNS)
     if len(data) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
-    traj = Trajectory(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-    traj.check_uniform(traj.t_s)
-    return traj
+    plant.sampling_step(data[:, 0], path=path)
+    return Trajectory(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    _write_float_csvs([(path, LEADER_COLUMNS,
+    write_csv_columns([(path, LEADER_COLUMNS,
                         (traj.time, traj.position, traj.speed, traj.accel))])
 
 
@@ -220,7 +222,7 @@ def smooth_acceleration(traj: Trajectory, kernel_width: float) -> Trajectory:
     if kernel_width == 0 or len(traj) < 2:
         return Trajectory(traj.time.copy(), traj.position.copy(),
                           traj.speed.copy(), traj.accel.copy())
-    t_s = traj.t_s
+    t_s = plant.sampling_step(traj.time)
     half = 3 * kernel_width / t_s  # samples each side; inf for a huge width
     # np.convolve's "same" output is as long as the longer input
     if not half <= (len(traj) - 1) // 2:
@@ -585,9 +587,11 @@ def _format_blocks(sinks, tables, columns, rows, b_lo, b_hi) -> None:
             fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
-def _write_float_csvs(tables) -> None:
-    """Write CSV files of float columns, byte for byte as `csv.writer` does
-    with ``repr(float(v))`` cells and ``\\r\\n`` line ends.
+def write_csv_columns(tables) -> None:
+    """Write headed CSV files of numeric columns, byte for byte as the `csv`
+    module's writer does with ``\\r\\n`` line ends, a float column's cells
+    given as ``repr(float(v))`` and an integer column's as ``int(v)``: the
+    counterpart of `read_csv_columns`.
 
     ``tables`` holds ``(path, header, columns)``; a file has as many rows
     as its shortest column.  ``repr`` is the cost, so when `_can_offload`
@@ -595,7 +599,7 @@ def _write_float_csvs(tables) -> None:
     half of the blocks of every file into anonymous temporary files in that
     file's directory while this process writes the first half; the child's
     halves are then appended."""
-    columns = {id(col): np.asarray(col, dtype=float)
+    columns = {id(col): np.asarray(col)
                for _, _, cols in tables for col in cols}
     rows = [min(len(col) for col in cols) for _, _, cols in tables]
     end = max(rows)
@@ -692,19 +696,6 @@ def _decisions_jsonl(report: RunReport, path) -> None:
             }, allow_nan=False) + "\n")
 
 
-def _estimate_timeline_csv(report: RunReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_end", "K_L_mean", "K_L_lo", "K_L_hi",
-                    "T_L_mean", "T_L_lo", "T_L_hi", "anomaly"])
-        for rec in report.windows:
-            e = rec.estimate
-            w.writerow([repr(rec.t_end),
-                        repr(e.K_L), repr(float(e.credible[0, 0])), repr(float(e.credible[0, 1])),
-                        repr(e.T_L), repr(float(e.credible[1, 0])), repr(float(e.credible[1, 1])),
-                        int(rec.decision.anomaly)])
-
-
 def emit_outputs(report: RunReport, out_dir) -> list[str]:
     """Write all run artifacts into ``out_dir``; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -719,7 +710,7 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
     if time.dtype == lead.time.dtype and time.tobytes() == lead.time[:n].tobytes():
         time = lead.time
     try:
-        _write_float_csvs([
+        write_csv_columns([
             (paths["leader.csv"], LEADER_COLUMNS,
              (lead.time, lead.position, lead.speed, lead.accel)),
             (paths["follower.csv"], FOLLOWER_COLUMNS,
@@ -729,7 +720,15 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
         ])
         _estimates_jsonl(report, paths["estimates.jsonl"])
         _decisions_jsonl(report, paths["decisions.jsonl"])
-        _estimate_timeline_csv(report, paths["estimate_timeline.csv"])
+        # a call of its own, so the trajectory tables split as before; at a
+        # row per window it forks only past 1024 windows
+        est = np.array([(rec.t_end, rec.estimate.K_L, *rec.estimate.credible[0],
+                         rec.estimate.T_L, *rec.estimate.credible[1])
+                        for rec in report.windows]).reshape(-1, 7)
+        anomaly = np.array([rec.decision.anomaly for rec in report.windows],
+                           dtype=int)
+        write_csv_columns([(paths["estimate_timeline.csv"], TIMELINE_COLUMNS,
+                            (*est.T, anomaly))])
         with open(paths["summary.json"], "w") as fh:
             json.dump({
                 "samples": len(report.follower),

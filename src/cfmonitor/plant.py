@@ -19,6 +19,7 @@ __all__ = [
     "Trajectory",
     "SimulationResult",
     "check_schedule",
+    "sampling_step",
     "equilibrium_follower",
     "simulate",
 ]
@@ -123,20 +124,31 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.time)
 
-    @property
-    def t_s(self) -> float:
-        _require(len(self) >= 2, "sampling step undefined for a single sample")
-        return float(self.time[1] - self.time[0])
 
-    def check_uniform(self, t_s: float, rtol: float = 1e-6) -> None:
-        if len(self) < 2:
-            return
-        dt = np.diff(self.time)
-        if not np.allclose(dt, t_s, rtol=rtol, atol=rtol * t_s):
-            bad = int(np.argmax(np.abs(dt - t_s)))
-            raise ValueError(
-                f"non-uniform sampling: step {dt[bad]:.6g} at row {bad + 1}, expected {t_s:.6g}"
-            )
+def sampling_step(time, t_s: float | None = None, path=None) -> float:
+    """The step of the time column ``time`` (two or more samples), checked
+    to be positive and uniform: every step lies within 2e-6 relative of
+    the first, or of ``t_s``, the controller step that a leader's must
+    match, when given.  Raises ValueError otherwise.  A bad step is named
+    by the sample that ends it or, for a column read from the file
+    ``path``, by the path and that sample's file row (the header is row 1).
+    """
+    where = "" if path is None else f"{path}: "
+    dt = np.diff(time)
+    step = float(dt[0])
+    if t_s is not None and not abs(step - t_s) <= 2e-6 * t_s:
+        raise ValueError(f"{where}leader sampled every {step:.6g} s, but "
+                         f"controller.t_s is {t_s:.6g} s")
+    expected = step if t_s is None else t_s
+    # a NaN step is off too, and so is a first step that is not positive
+    off = np.flatnonzero(~(np.abs(dt - expected) <= 2e-6 * expected) | (dt <= 0))
+    if off.size:
+        i = int(off[0]) + 1  # the sample that ends the first step off
+        at = f"sample {i}" if path is None else f"row {i + 2}"
+        want = f"{expected:.6g}" if expected > 0 else "a positive step"
+        raise ValueError(f"{where}non-uniform sampling: step {dt[i - 1]:.6g} "
+                         f"at {at}, expected {want}")
+    return step
 
 
 @dataclass
@@ -179,7 +191,8 @@ def check_schedule(
         _require(params.T_L_true > t_s / 2,
                  f"T_L_true={params.T_L_true:g} at t={t_sw:g} s is not above t_s/2="
                  f"{t_s / 2:g}: the explicit Euler step would diverge")
-    leader.check_uniform(t_s)
+    if len(leader) >= 2:
+        sampling_step(leader.time, t_s)
 
 
 def simulate(

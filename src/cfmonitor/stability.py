@@ -3,7 +3,6 @@ car-following controller under bounded actuation dynamics, plus 2-D
 parameter sweeps producing stability-region maps."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ __all__ = [
     "RegionMap",
     "assess",
     "stability_region",
-    "region_to_csv",
 ]
 
 SWEEPABLE = ("k_s", "k_v", "k_a", "tau_star")
@@ -165,18 +163,3 @@ def stability_region(
     return RegionMap(param1, param2, grid1, grid2, margins,
                      ok_local, ok_string, valid)
 
-
-def region_to_csv(region: RegionMap, path) -> None:
-    """Plot-ready dump: one row per cell."""
-    header = [region.param1, region.param2, "locally_stable", "string_stable"]
-    header += [f"margin_{i}" for i in range(1, N_LOCAL + N_STRING + 1)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, v1 in enumerate(region.grid1):
-            for j, v2 in enumerate(region.grid2):
-                row = [repr(float(v1)), repr(float(v2)),
-                       int(region.locally_stable[i, j]),
-                       int(region.string_stable[i, j])]
-                row += [repr(float(m)) for m in region.margins[i, j]]
-                w.writerow(row)

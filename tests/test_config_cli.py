@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from cfmonitor.cli import main
 from cfmonitor.config import ConfigError, parse_config_file, scenario_from_config
 from cfmonitor.harness import (
+    LeaderSegment,
+    SyntheticLeaderSpec,
     _window_seed,
     default_leader_spec,
     save_trajectory,
@@ -264,6 +266,27 @@ class TestCliStability:
         # checked without --sweep too
         assert main(["stability", "--range", "bad", "bad"]) == 2
 
+    def test_negative_range_bound(self, tmp_path, capsys):
+        # argparse reads -3:0:31 as a value, not an option, only through the
+        # stability parser's private _negative_number_matcher: this fails if
+        # a Python release stops consulting it
+        out = tmp_path / "region.csv"
+        assert main(["stability", "--sweep", "k_a", "k_v", "--range", "-3:0:31",
+                     "0:5:51", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 31 * 51
+        assert [float(row[0]) for row in rows[1::51]] == np.linspace(-3, 0, 31).tolist()
+        assert main(["stability", "--sweep", "k_a", "k_v", "--range", "-.5:0:3",
+                     "0:5:3", "--out", str(out)]) == 0
+
+    def test_malformed_negative_spec_exits_2(self, tmp_path):
+        for ranges in (["-3:0", "0:5:51"], ["-3:0:x", "0:5:51"], ["-x:0:3", "0:5:3"]):
+            code, err = run_cli(["stability", "--sweep", "k_a", "k_v", "--range",
+                                 *ranges, "--out", str(tmp_path / "r.csv")])
+            assert code == 2 and err, ranges
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestCliSynth:
     def test_writes_leader_csv(self, tmp_path):
@@ -321,6 +344,36 @@ class TestCliEstimate:
                              "sample_count", "low_confidence"]
         assert line0["window"] == 0 and list(line0)[-len(est):] == list(est)
         assert est == {k: line0[k] for k in est}
+
+    def test_seed_from_config_unless_given(self, tmp_path):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        seeded, plain = tmp_path / "seeded.cfg", tmp_path / "plain.cfg"
+        seeded.write_text("seed = 5\nsgld.K_iters = 200\n")
+        plain.write_text("sgld.K_iters = 200\n")
+
+        def mean(*argv):
+            out = tmp_path / "estimate.json"
+            assert main(["estimate", str(log), *argv, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["posterior_mean"]
+
+        from_config = mean("--config", str(seeded))
+        assert from_config == mean("--config", str(plain), "--seed", "5")
+        assert from_config != mean("--config", str(plain))
+        assert mean("--config", str(seeded), "--seed", "0") == mean("--config", str(plain))
+
+    @pytest.mark.parametrize("times, message", [
+        ((0.0, 0.01, 0.02, 0.03, 0.05, 0.06),
+         "non-uniform sampling: step 0.02 at row 6, expected 0.01"),
+        ((0.0, -0.01, -0.02), "non-uniform sampling: step -0.01 at row 3, "
+                              "expected a positive step"),
+    ], ids=["one_step", "decreasing"])
+    def test_non_uniform_log_names_file_and_row(self, tmp_path, capsys, times,
+                                                message):
+        log = tmp_path / "log.csv"
+        log.write_text("time,accel,demand\n" + "".join(f"{t},0,0\n" for t in times))
+        assert main(["estimate", str(log)]) == 2
+        assert capsys.readouterr().err == f"error: {log}: {message}\n"
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 4
@@ -451,6 +504,19 @@ class TestCliSimulate:
         assert est[7]["prior_mean"] == est[6]["prior_mean"]
         assert est[7]["prior_variance"] == est[6]["prior_variance"]
 
+    def test_leader_at_another_step_is_config_error(self, tmp_path, capsys):
+        # uniform at 0.02 s: the message says so, rather than calling it
+        # non-uniform at the row where rounding strays furthest from 0.01 s
+        spec = SyntheticLeaderSpec(segments=(LeaderSegment(30.0, 0.0),), t_s=0.02)
+        path = tmp_path / "leader.csv"
+        save_trajectory(synthetic_leader(spec), path)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"leader.source = {path}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error: leader sampled every 0.02 s, but controller.t_s is 0.01 s\n")
+
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(
@@ -475,6 +541,7 @@ IN_RUN_ERRORS = (
     "the explicit Euler step would diverge",
     "outside trajectory span",
     "non-uniform sampling",
+    "but controller.t_s is",  # a leader sampled at another step
     "smoothing kernel",
 )
 # keys that set how much work a run does draw from bounded values, so one

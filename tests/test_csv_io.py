@@ -1,6 +1,6 @@
 """The CSV layer against row-by-row references: the artifact writer against
-`csv.writer` with ``repr(float(v))`` cells, the reader against a
-`csv.reader` + ``float()`` row loop."""
+`csv.writer` with ``repr(float(v))`` and ``int(v)`` cells, the reader
+against a `csv.reader` + ``float()`` row loop."""
 import contextlib
 import csv
 import io
@@ -19,13 +19,15 @@ from cfmonitor.harness import (
     RunReport,
     ScenarioConfig,
     SyntheticLeaderSpec,
+    WindowRecord,
     emit_outputs,
     load_leader,
     run_closed_loop,
     save_trajectory,
     synthetic_leader,
 )
-from cfmonitor.estimator import SgldHyper
+from cfmonitor.estimator import PosteriorEstimate, SgldHyper
+from cfmonitor.monitor import Action, StrategyDecision
 from cfmonitor.plant import ControllerConfig, PlantParams, Trajectory
 
 BLOCK = harness._EMIT_BLOCK
@@ -37,6 +39,26 @@ def reference_csv(path, header, columns, rows):
         w.writerow(header)
         for i in range(rows):
             w.writerow([repr(float(col[i])) for col in columns])
+
+
+def reference_timeline_csv(report, path):
+    """estimate_timeline.csv as the per-row `csv.writer` code wrote it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t_end", "K_L_mean", "K_L_lo", "K_L_hi",
+                    "T_L_mean", "T_L_lo", "T_L_hi", "anomaly"])
+        for rec in report.windows:
+            e = rec.estimate
+            w.writerow([repr(rec.t_end), repr(e.K_L), repr(float(e.credible[0, 0])),
+                        repr(float(e.credible[0, 1])), repr(e.T_L),
+                        repr(float(e.credible[1, 0])), repr(float(e.credible[1, 1])),
+                        int(rec.decision.anomaly)])
+
+
+def assert_timeline_csv_matches(report, out_dir, ref_dir):
+    reference_timeline_csv(report, ref_dir / "estimate_timeline.csv")
+    assert ((out_dir / "estimate_timeline.csv").read_bytes()
+            == (ref_dir / "estimate_timeline.csv").read_bytes())
 
 
 def assert_trajectory_csvs_match(report, out_dir, ref_dir):
@@ -66,9 +88,11 @@ class TestEmissionMatchesCsvWriter:
             schedule=[(0.0, PlantParams(0.3, 1.0, 0.05)), (4.0, PlantParams(1.5, 0.5, 0.3))],
             leader_spec=spec, sgld=SgldHyper(K_iters=200), seed=1))
         assert len(report.follower) > BLOCK and len(report.follower) % BLOCK
+        assert any(rec.decision.anomaly for rec in report.windows)
         emit_outputs(report, tmp_path / "out")
         (tmp_path / "ref").mkdir()
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
+        assert_timeline_csv_matches(report, tmp_path / "out", tmp_path / "ref")
 
     def test_collision_run(self, tmp_path):
         leader = synthetic_leader(SyntheticLeaderSpec(segments=(
@@ -122,6 +146,24 @@ def random_report(rows, follower_rows):
     follower = plant.SimulationResult(leader.time[:follower_rows].copy(),
                                       *rng.standard_normal((5, follower_rows)))
     return RunReport(leader, follower, [], 2.0, None, None, 0.0, 0.0, 0.0)
+
+
+def windowed_report(windows):
+    """A five-row run with ``windows`` made-up windows, whose estimates hold
+    odd floats and every third of which is an anomaly."""
+    rng = np.random.default_rng(windows)
+    odd = [-0.0, 1e-300, 5e-324, 1e16, 123456789.125, -2.5e-7]
+    values = np.resize(np.concatenate([odd, rng.standard_normal(6 * windows)]),
+                       (windows, 6))
+    cfg = ControllerConfig()
+    records = [WindowRecord(
+        w, 2.0 * w, 2.0 * w + 2.0, (1.0, 0.3), 1.0,
+        PosteriorEstimate(np.zeros((2, 2)), v[:2], np.eye(2), v[2:].reshape(2, 2)),
+        StrategyDecision(w % 3 == 0, None, Action.NONE, cfg), False)
+        for w, v in enumerate(values)]
+    report = random_report(5, 5)
+    report.windows = records
+    return report
 
 
 def make_repr_fail(monkeypatch, in_child):
@@ -181,6 +223,21 @@ class TestSplitWriter:
                     == (tmp_path / "split" / name).read_bytes()), name
         assert set(os.listdir(tmp_path / "one")) == set(os.listdir(tmp_path / "split"))
 
+    @pytest.mark.parametrize("windows", [30, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("one_process", [False, True],
+                             ids=["forked", "one_process"])
+    def test_timeline_bytes_equal_csv_writer(self, tmp_path, monkeypatch, forks,
+                                             windows, one_process):
+        # the timeline is written by a call of its own, which forks once its
+        # rows span two blocks
+        if one_process:
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        report = windowed_report(windows)
+        emit_outputs(report, tmp_path / "out")
+        assert len(forks) == (windows > BLOCK and not one_process)
+        (tmp_path / "ref").mkdir()
+        assert_timeline_csv_matches(report, tmp_path / "out", tmp_path / "ref")
+
     def test_child_failure_raises_oserror(self, tmp_path, monkeypatch, forks,
                                           assert_no_children):
         make_repr_fail(monkeypatch, in_child=True)
@@ -200,7 +257,7 @@ class TestSplitWriter:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
         assert "I/O error: failed writing outputs under" in capsys.readouterr().err
         # the closed loop's SGLD inputs are made by a fork of their own
-        assert forks.count("_write_float_csvs") == 1
+        assert forks.count("write_csv_columns") == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 

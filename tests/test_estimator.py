@@ -11,7 +11,6 @@ from cfmonitor.estimator import (
     _BLOCK,
     _block_inputs,
     _draw_minibatches,
-    _lik_grad,
     _products,
     _scaled_products,
     _slab_draws,
@@ -28,6 +27,18 @@ from cfmonitor.estimator import (
 
 
 WIDE_PRIOR = GaussianPrior((1.0, 0.3), 10.0)
+
+
+def sums_lik_grad(K_L, T_L, s_ju, s_uu, s_au, s_ja, s_aa):
+    """The likelihood gradient in (K_L, T_L) from the five product sums
+    (ju, uu, au, ja, aa), each already divided by sigma_sq and scaled to the
+    full batch: a copy of the sums form that `sgld_run`'s chain loop
+    writes out, with the same operations in the same order."""
+    alpha, beta = K_L / T_L, 1.0 / T_L
+    # d/d(alpha) and d/d(beta) of -sum(r^2)/2 with r = j - alpha u + beta a
+    g_alpha = s_ju - alpha * s_uu + beta * s_au
+    g_beta = alpha * s_au - s_ja - beta * s_aa
+    return g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
 
 
 def synthetic_batch(K_L, T_L, n=500, t_s=0.01, sigma_eps=0.05, seed=0,
@@ -116,7 +127,7 @@ def block_reference(batch, prior, hyper, fix_lag=None):
             sums = [products.sum(axis=0).tolist()] * m
         noise = (rng.standard_normal((m, 2)) * np.sqrt(etas)[:, None]).tolist()
         for eta, s, (z_K, z_T) in zip(etas.tolist(), sums, noise):
-            g_K, g_T = _lik_grad(K, T, *s)
+            g_K, g_T = sums_lik_grad(K, T, *s)
             d_K = 0.5 * eta * (K * ((m_K - K) / var + g_K) + 1.0)
             d_T = (0.5 * eta * (T * ((m_T - T) / var + g_T) + 1.0)
                    if fix_lag is None else 0.0)
@@ -226,6 +237,21 @@ class TestGradients:
         g_plain = grad_log_posterior(batch, theta, WIDE_PRIOR, 0.01)
         assert g_scaled == pytest.approx(g_plain)
 
+    @pytest.mark.parametrize("n_total", [None, 1000])
+    def test_residual_form_matches_sums_form(self, n_total):
+        # grad_log_posterior shares no code with the chain's sums form
+        for seed in range(3):
+            batch = synthetic_batch(1.0, 0.3, n=200, seed=seed)
+            scale = 1.0 if n_total is None else n_total / len(batch)
+            sums = _products(batch).sum(axis=0) * (scale / 0.01)
+            for K_L in (0.5, 1.0, 1.5):
+                for T_L in (0.2, 0.5, 1.5):
+                    expected = WIDE_PRIOR.grad_log_density((K_L, T_L)) + np.array(
+                        sums_lik_grad(K_L, T_L, *sums.tolist()))
+                    g = grad_log_posterior(batch, (K_L, T_L), WIDE_PRIOR, 0.01,
+                                           n_total=n_total)
+                    assert g == pytest.approx(expected, rel=1e-12, abs=0)
+
     @given(
         n=st.integers(2, 60), data=st.data(),
         K_L=st.floats(0.3, 2.0), T_L=st.floats(0.1, 2.0),
@@ -240,7 +266,7 @@ class TestGradients:
         sigma_sq = 0.01
         # the sampler's path: pre-scaled per-sample products, gathered and summed
         products = _products(ObservationBatch(a, u, j)) * (n / (k * sigma_sq))
-        g_lik = np.array(_lik_grad(K_L, T_L, *products[idx].sum(axis=0)))
+        g_lik = np.array(sums_lik_grad(K_L, T_L, *products[idx].sum(axis=0)))
         kernel = WIDE_PRIOR.grad_log_density((K_L, T_L)) + g_lik
         direct = grad_log_posterior(ObservationBatch(a[idx], u[idx], j[idx]),
                                     (K_L, T_L), WIDE_PRIOR, sigma_sq, n_total=n)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -166,7 +167,9 @@ class TestLeaderCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time,position,speed,accel\n0.0,0.0,1.0,0.0\n"
                         "0.01,0.01,1.0,0.0\n0.03,0.03,1.0,0.0\n")
-        with pytest.raises(ValueError):
+        # the file and its row, with the header as row 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-uniform sampling: step 0.02 at row 4, expected 0.01")):
             load_leader(path)
 
 

@@ -10,6 +10,7 @@ from cfmonitor.plant import (
     Trajectory,
     VehicleState,
     equilibrium_follower,
+    sampling_step,
     simulate,
 )
 from cfmonitor.estimator import SgldHyper
@@ -333,10 +334,11 @@ class TestSimulate:
 class TestTrajectory:
     def test_non_uniform_rejected(self):
         t = np.array([0.0, 0.01, 0.03])
-        z = np.zeros(3)
-        traj = Trajectory(t, z, z, z)
-        with pytest.raises(ValueError):
-            traj.check_uniform(0.01)
+        with pytest.raises(ValueError, match=r"^non-uniform sampling: step 0\.02 "
+                                             r"at sample 2, expected 0\.01$"):
+            sampling_step(t, 0.01)
+        with pytest.raises(ValueError, match="at sample 2, expected 0.01$"):
+            sampling_step(t)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -528,7 +530,9 @@ class TestScheduleCheck:
 
     def test_sampling_rate_mismatch_rejected_by_closed_loop(self):
         spec = SyntheticLeaderSpec(segments=(LeaderSegment(2.0, 0.0),), t_s=0.02)
-        with pytest.raises(ValueError, match="non-uniform"):
+        # uniform, but at another step than the controller's
+        with pytest.raises(ValueError, match=r"^leader sampled every 0\.02 s, but "
+                                             r"controller\.t_s is 0\.01 s$"):
             run_closed_loop(ScenarioConfig(controller=CFG, schedule=[(0.0, NOMINAL)],
                                            leader_spec=spec, window_length=2.0))
 

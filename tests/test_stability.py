@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfmonitor import harness
+from cfmonitor.cli import main
 from cfmonitor.plant import ControllerConfig
 from cfmonitor.stability import (
     RegionMap,
     StabilityVerdict,
     assess,
-    region_to_csv,
     stability_region,
 )
 
@@ -197,21 +198,40 @@ class TestStabilityRegion:
                              np.array([1.0]), DEFAULT)
 
 
+def reference_region_csv(region: RegionMap, path) -> None:
+    """The region CSV as the per-row `csv.writer` code wrote it, one row per
+    cell."""
+    header = [region.param1, region.param2, "locally_stable", "string_stable"]
+    header += [f"margin_{i}" for i in range(1, 9)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i, v1 in enumerate(region.grid1):
+            for j, v2 in enumerate(region.grid2):
+                row = [repr(float(v1)), repr(float(v2)),
+                       int(region.locally_stable[i, j]),
+                       int(region.string_stable[i, j])]
+                row += [repr(float(m)) for m in region.margins[i, j]]
+                w.writerow(row)
+
+
 class TestRegionCsv:
-    def test_round_trip(self, tmp_path):
-        grid = np.linspace(0.5, 2.0, 3)
-        reg = stability_region("k_s", grid, "tau_star", grid, DEFAULT)
-        path = tmp_path / "region.csv"
-        region_to_csv(reg, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        assert header[:4] == ["k_s", "tau_star", "locally_stable", "string_stable"]
-        assert header[4:] == [f"margin_{i}" for i in range(1, 9)]
-        assert len(body) == 9
-        i, j = 1, 2
-        row = body[i * 3 + j]
-        assert float(row[0]) == grid[i]
-        assert float(row[1]) == grid[j]
-        assert int(row[2]) == int(reg.locally_stable[i, j])
-        assert [float(x) for x in row[4:]] == pytest.approx(list(reg.margins[i, j]))
+    @pytest.mark.parametrize("one_process", [False, True],
+                             ids=["forked", "one_process"])
+    def test_bytes_match_csv_writer(self, tmp_path, capsys, monkeypatch, forks,
+                                    one_process):
+        # 41 x 31 cells span three of the writer's blocks, so it forks
+        if one_process:
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        out = tmp_path / "region.csv"
+        assert main(["stability", "--sweep", "k_s", "tau_star", "--range",
+                     "0:5:41", "0:3:31", "--out", str(out)]) == 0
+        assert forks == ([] if one_process else ["write_csv_columns"])
+        region = stability_region("k_s", np.linspace(0, 5, 41), "tau_star",
+                                  np.linspace(0, 3, 31), DEFAULT)
+        reference_region_csv(region, tmp_path / "ref.csv")
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # the tau_star = 0 cells carry NaN margins; both verdicts take both values
+        text = out.read_text()
+        assert text.count(",0,0,nan,") == 41
+        assert ",1,1," in text and ",1,0," in text
