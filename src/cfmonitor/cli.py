@@ -17,7 +17,7 @@ import numpy as np
 
 from . import plant, stability
 from .config import ConfigError, parse_config_file, scenario_from_config
-from .estimator import GaussianPrior, batch_from_series, sgld_run
+from .estimator import batch_from_series, sgld_run
 from .harness import (
     default_leader_spec,
     default_scenario,
@@ -121,8 +121,7 @@ def _cmd_estimate(args) -> int:
     accel, demand, t_s, t0 = _read_log_csv(args.csv)
     scenario = _load_scenario(args)
     batch = batch_from_series(accel, demand, t_s, t_start=t0)
-    est = sgld_run(batch, GaussianPrior(scenario.prior_mean, scenario.prior_variance),
-                   replace(scenario.sgld, seed=scenario.seed))
+    est = sgld_run(batch, scenario.prior, replace(scenario.sgld, seed=scenario.seed))
     payload = json.dumps(estimate_record(est), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -143,6 +142,8 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}; expected LO:HI:N") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"bad grid spec {spec!r}; LO and HI must be finite")
     # an empty axis would also let the other one past the cell limit at any size
     if n < 1:
         raise ConfigError(f"bad grid spec {spec!r}; N must be at least 1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 
-from .estimator import SgldHyper
+from .estimator import GaussianPrior, SgldHyper
 from .harness import ScenarioConfig, default_scenario
 from .monitor import Escalation, MonitorPolicy
 from .plant import ControllerConfig, PlantParams
@@ -104,17 +104,19 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
                                      c.comp_gain_max),
         )
 
-        sigma0 = _pop_float(values, "plant.sigma_eps", 0.05)
+        (_, p0), (switch_time, p1) = base.schedule
+        sigma0 = _pop_float(values, "plant.sigma_eps", p0.sigma_eps)
         schedule = [(0.0, PlantParams(
-            T_L_true=_pop_float(values, "plant.T_L_true", 0.3),
-            K_L_true=_pop_float(values, "plant.K_L_true", 1.0),
+            T_L_true=_pop_float(values, "plant.T_L_true", p0.T_L_true),
+            K_L_true=_pop_float(values, "plant.K_L_true", p0.K_L_true),
             sigma_eps=sigma0,
         ))]
-        if values.get("plant.switch_time", 26.0) is not None:
-            schedule.append((_pop_float(values, "plant.switch_time", 26.0), PlantParams(
-                T_L_true=_pop_float(values, "plant.switch_T_L", 1.5),
-                K_L_true=_pop_float(values, "plant.switch_K_L", 0.5),
-                sigma_eps=_pop_float(values, "plant.switch_sigma_eps", 0.3),
+        if values.get("plant.switch_time", switch_time) is not None:
+            switch_time = _pop_float(values, "plant.switch_time", switch_time)
+            schedule.append((switch_time, PlantParams(
+                T_L_true=_pop_float(values, "plant.switch_T_L", p1.T_L_true),
+                K_L_true=_pop_float(values, "plant.switch_K_L", p1.K_L_true),
+                sigma_eps=_pop_float(values, "plant.switch_sigma_eps", p1.sigma_eps),
             )))
         else:
             for k in ("plant.switch_time", "plant.switch_T_L", "plant.switch_K_L",
@@ -166,16 +168,19 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
             schedule=schedule,
             leader_csv=leader_csv,
             leader_spec=base.leader_spec if leader_csv is None else None,
-            smoothing_width=_pop_float(values, "leader.smoothing_width", 0.0),
+            smoothing_width=_pop_float(values, "leader.smoothing_width",
+                                       base.smoothing_width),
             window_length=_pop_float(values, "window.length", base.window_length),
             sgld=sgld,
             policy=policy,
-            prior_mean=(_pop_float(values, "prior.mean_K_L", base.prior_mean[0]),
-                        _pop_float(values, "prior.mean_T_L", base.prior_mean[1])),
-            prior_variance=_pop_float(values, "prior.variance", base.prior_variance),
+            prior=GaussianPrior(
+                (_pop_float(values, "prior.mean_K_L", base.prior.mean[0]),
+                 _pop_float(values, "prior.mean_T_L", base.prior.mean[1])),
+                _pop_float(values, "prior.variance", base.prior.variance)),
             rolling_lambda=_pop_float(values, "prior.rolling_lambda",
                                       base.rolling_lambda),
-            strategy_enabled=_pop_bool(values, "monitor.enabled", True),
+            strategy_enabled=_pop_bool(values, "monitor.enabled",
+                                       base.strategy_enabled),
             seed=_pop_int(values, "seed", base.seed),
         )
     except (ValueError, OverflowError) as exc:  # e.g. a K_iters beyond float range

@@ -98,7 +98,7 @@ class GaussianPrior:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
+        if not self.variance > 0:
             raise ValueError("prior variance must be positive")
 
     def log_density(self, theta) -> float:
@@ -135,15 +135,15 @@ class SgldHyper:
         if self.burn_in_c is None or isinstance(self.burn_in_c, _DefaultBurnIn):
             object.__setattr__(self, "burn_in_c",
                                _DefaultBurnIn(int(0.6 * self.K_iters)))
-        if self.eta_1 <= 0:
+        if not self.eta_1 > 0:
             raise ValueError("eta_1 must be positive")
         if not 0 < self.burn_in_c < self.K_iters:
             raise ValueError("burn_in_c must lie strictly inside (0, K_iters)")
         if self.minibatch_n < 1:
             raise ValueError("minibatch_n must be at least 1")
-        if self.sigma_sq <= 0:
+        if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
-        if self.max_drift <= 0:
+        if not self.max_drift > 0:
             raise ValueError("max_drift must be positive")
 
 
@@ -302,19 +302,13 @@ def _block_inputs(products: np.ndarray, slabs, eta_1: float):
             yield start, block
 
 
-def _checked_blocks(blocks, K_iters: int):
-    """``blocks`` as they are iterated, each checked against the block
-    layout of a ``K_iters`` chain."""
-    blocks = iter(blocks)
+def _filled_blocks(fill, K_iters: int):
+    """The blocks of a ``K_iters`` chain, as `_block_inputs` yields them:
+    each allocated here, in iteration order, and filled by ``fill(block)``."""
     for start in range(0, K_iters, _BLOCK):
-        m = min(_BLOCK, K_iters - start)
-        got = next(blocks, None)
-        if got is None or got[0] != start or np.shape(got[1]) != (_BLOCK_ROWS, m):
-            raise ValueError(f"supplied blocks do not fit the {m} iterations "
-                             f"from {start}")
-        yield got
-    if next(blocks, None) is not None:
-        raise ValueError(f"supplied blocks run past K_iters = {K_iters}")
+        block = np.empty((_BLOCK_ROWS, min(_BLOCK, K_iters - start)))
+        fill(block)
+        yield start, block
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -340,7 +334,7 @@ def sgld_run(
     hyper: SgldHyper,
     fix_lag: float | None = None,
     *,
-    blocks=None,
+    fill=None,
 ) -> PosteriorEstimate:
     """Optimization-then-sampling over the window's posterior.
 
@@ -352,20 +346,20 @@ def sgld_run(
     Minibatch gradients come from sums of `_scaled_products`; indices and
     noise are drawn ``_BLOCK`` iterations at a time, index collisions are
     resolved ``_SLAB`` iterations at a time, and the chain itself steps on
-    plain floats.  ``blocks``, when given, supplies the chain's inputs as
-    `_block_inputs` yields them for this batch and ``hyper``, made ahead
-    (for example in another process); a block that does not fit the chain
-    raises ``ValueError``.  A chain that leaves the positive floats raises
-    ``ValueError``.
+    plain floats.  ``fill``, when given, supplies the chain's inputs made
+    ahead (for example in another process): ``fill(block)`` fills each
+    empty ``(8, m)`` float64 block, in iteration order, as `_block_inputs`
+    would for this batch and ``hyper``.  A chain that leaves the positive
+    floats raises ``ValueError``.
     """
-    if blocks is None:
+    if fill is None:
         n_total = len(batch)
         products = _scaled_products(batch, hyper)
         blocks = _block_inputs(products, _slab_draws(
             hyper.seed, n_total, min(hyper.minibatch_n, n_total), hyper.K_iters),
             hyper.eta_1)
     else:
-        blocks = _checked_blocks(blocks, hyper.K_iters)
+        blocks = _filled_blocks(fill, hyper.K_iters)
 
     m_K, m_T = (float(m) for m in prior.mean)
     var = prior.variance

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import monitor, plant
 from .estimator import (
-    _BLOCK,
-    _BLOCK_ROWS,
     GaussianPrior,
     PosteriorEstimate,
     SgldHyper,
@@ -74,7 +72,6 @@ class SyntheticLeaderSpec:
     segments: tuple[LeaderSegment, ...]
     v0: float = 20.0
     x0: float = 0.0
-    t_s: float = 0.01
 
 
 @dataclass
@@ -87,8 +84,7 @@ class ScenarioConfig:
     window_length: float = 2.0
     sgld: SgldHyper = field(default_factory=SgldHyper)
     policy: MonitorPolicy = field(default_factory=MonitorPolicy)
-    prior_mean: tuple[float, float] = (1.0, 0.3)
-    prior_variance: float = 10.0
+    prior: GaussianPrior = GaussianPrior((1.0, 0.3), 10.0)
     rolling_lambda: float = 1.0
     strategy_enabled: bool = True
     seed: int = 0
@@ -103,8 +99,6 @@ class ScenarioConfig:
             raise ValueError("window_length must be a positive multiple of t_s, "
                              "at least 2 steps")
         # checked here too, so a bad value fails before the run, not in it
-        if not self.prior_variance > 0:
-            raise ValueError("prior_variance must be positive")
         if not self.rolling_lambda > 0:
             raise ValueError("rolling_lambda must be positive")
         if self.seed < 0:
@@ -246,11 +240,12 @@ def smooth_acceleration(traj: Trajectory, kernel_width: float) -> Trajectory:
     return Trajectory(traj.time.copy(), position, speed, accel)
 
 
-def synthetic_leader(spec: SyntheticLeaderSpec) -> Trajectory:
-    """Piecewise-constant-acceleration leader, integrated exactly."""
+def synthetic_leader(spec: SyntheticLeaderSpec,
+                     t_s: float = ControllerConfig.t_s) -> Trajectory:
+    """Piecewise-constant-acceleration leader, integrated exactly and
+    sampled every ``t_s`` seconds."""
     if not spec.segments or sum(s.duration for s in spec.segments) <= 0:
         raise ValueError("leader spec has zero total duration")
-    t_s = spec.t_s
     # breakpoints and exact (v, x) at each segment start
     v, x = spec.v0, spec.x0
     starts = [0.0]
@@ -289,7 +284,7 @@ def _resolve_leader(scenario: ScenarioConfig) -> Trajectory:
     if scenario.leader_csv is not None:
         leader = load_leader(scenario.leader_csv)
     else:
-        leader = synthetic_leader(scenario.leader_spec)
+        leader = synthetic_leader(scenario.leader_spec, scenario.controller.t_s)
     if scenario.smoothing_width > 0:
         leader = smooth_acceleration(leader, scenario.smoothing_width)
     return leader
@@ -364,21 +359,22 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     `_block_inputs` as raw float64 bytes to another.  The block pipe's
     capacity bounds how far ahead the helper runs.
 
-    Yields ``window_blocks(w, batch)``, which sends window ``w``'s products
-    (raising ``ValueError`` where they overflow) and returns its blocks for
-    `sgld_run`'s ``blocks``; windows are taken in order, each read to its
-    end.  Yields None, and each chain makes its own inputs, when there is
-    no window or `_can_offload` is false, or the fork fails.  A helper that
-    ends early makes the send or the read raise ``OSError`` naming the
-    window.  Where this thread may run on two or more CPUs, it keeps to the
-    lowest of them until the block ends, and the helper to the others.
+    Yields ``window_fill(w, batch)``, which sends window ``w``'s products
+    (raising ``ValueError`` where they overflow) and returns the filler of
+    its blocks for `sgld_run`'s ``fill``; windows are taken in order, each
+    read to its end.  Yields None, and each chain makes its own inputs,
+    when there is no window or `_can_offload` is false, or the fork fails.
+    A helper that ends early makes the send or the read raise ``OSError``
+    naming the window.  Where this thread may run on two or more CPUs, it
+    keeps to the lowest of them until the block ends, and the helper to the
+    others.
     """
     if not (seeds and _can_offload()):
         yield None
         return
     import fcntl  # POSIX, as fork is
 
-    k, K_iters = min(hyper.minibatch_n, n), hyper.K_iters
+    k = min(hyper.minibatch_n, n)
     # Each pipe write wakes the other process as one that the writer is about
     # to wait for, so the scheduler tends to run both on the writer's CPU,
     # one preempting the other while a CPU idles.  Where the CPUs can be
@@ -396,7 +392,7 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
                 os.sched_setaffinity(0, cpus - own)
         products = np.empty((n, 5))
         for seed in seeds:
-            slabs = list(_slab_draws(seed, n, k, K_iters))
+            slabs = list(_slab_draws(seed, n, k, hyper.K_iters))
             if products_in.readinto(products) != products.nbytes:
                 return  # the parent took no more windows
             for _, block in _block_inputs(products, slabs, hyper.eta_1):
@@ -407,21 +403,18 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
         return OSError("the process making SGLD inputs ahead ended before "
                        f"the inputs of window {w}")
 
-    def window_blocks(w, batch):
+    def window_fill(w, batch):
         view = memoryview(_scaled_products(batch, hyper)).cast("B")
         try:
             while view:
                 view = view[to_helper.write(view):]
         except BrokenPipeError:
             raise ended(w) from None
-        return read_blocks(w)
 
-    def read_blocks(w):
-        for start in range(0, K_iters, _BLOCK):
-            block = np.empty((_BLOCK_ROWS, min(_BLOCK, K_iters - start)))
+        def fill(block):
             if from_helper.readinto(block) != block.nbytes:
                 raise ended(w)
-            yield start, block
+        return fill
 
     blocks_read, blocks_write = os.pipe()
     products_read, products_write = os.pipe()
@@ -442,7 +435,7 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
                     stack.callback(_restore_affinity, cpus)
         # the helper's ends are closed here, so its exit reads as EOF and
         # makes a send fail
-        yield None if forked is None else window_blocks
+        yield None if forked is None else window_fill
 
 
 def _restore_affinity(cpus) -> None:
@@ -475,12 +468,12 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     follower_cols = np.empty((6, n))
     filled = 0
     windows: list[WindowRecord] = []
-    prior = GaussianPrior(scenario.prior_mean, scenario.prior_variance)
+    prior = scenario.prior
     collision_time = None
     start = 0
     w = 0
     seeds = [_window_seed(scenario.seed, i) for i in range(n_windows)]
-    with _prefetched_blocks(seeds, win_steps, scenario.sgld) as window_blocks:
+    with _prefetched_blocks(seeds, win_steps, scenario.sgld) as window_fill:
         while start < n and collision_time is None:
             stop = min(start + win_steps, n)
             active_cfg = (cfg if tau_active == cfg.tau_star
@@ -503,8 +496,8 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                     piece.accel, piece.demanded_accel, cfg.t_s,
                     t_start=float(piece.time[0]),
                 )
-                estimate = sgld_run(batch, prior, hyper, blocks=(
-                    None if window_blocks is None else window_blocks(w, batch)))
+                estimate = sgld_run(batch, prior, hyper, fill=(
+                    None if window_fill is None else window_fill(w, batch)))
                 decision = monitor.evaluate(estimate, cfg, scenario.policy)
                 applied = False
                 if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:

@@ -65,13 +65,13 @@ class MonitorPolicy:
     use_interval_overlap: bool = False
 
     def __post_init__(self):
-        if self.accepted_change_T_L <= 0 or self.accepted_change_K_L <= 0:
+        if not (self.accepted_change_T_L > 0 and self.accepted_change_K_L > 0):
             raise ValueError("accepted changes must be positive")
-        if self.tau_star_escalated <= 0:
+        if not self.tau_star_escalated > 0:
             raise ValueError("tau_star_escalated must be positive")
-        if self.bound_inflation <= 0:
+        if not self.bound_inflation > 0:
             raise ValueError("bound_inflation must be positive")
-        if self.tau_star_slew <= 0:
+        if not self.tau_star_slew > 0:
             raise ValueError("tau_star_slew must be positive")
 
 
@@ -201,14 +201,11 @@ def evaluate(
 
 
 def apply_decision(cfg: ControllerConfig, decision: StrategyDecision) -> ControllerConfig:
-    """Return the adjusted configuration, re-validating its invariants."""
+    """Return the adjusted configuration, refusing an escalation that
+    shrinks a gain or does not increase the time gap."""
     if decision.action is Action.NONE:
         return cfg
     new = decision.new_config
-    try:
-        ControllerConfig(**{f: getattr(new, f) for f in new.__dataclass_fields__})
-    except ValueError as exc:
-        raise DecisionError(f"candidate configuration rejected: {exc}") from exc
     if decision.action in (Action.UPDATE_LOWER_AND_GAINS, Action.UPDATE_LOWER_AND_BOTH):
         for name in ("k_s", "k_v", "k_a"):
             if abs(getattr(new, name)) < abs(getattr(cfg, name)):

@@ -12,7 +12,7 @@ from cfmonitor import harness
 def forks(monkeypatch):
     """Two usable CPUs whatever the affinity, and a list that gets, per fork
     the harness makes, the name of the harness function that asked for it
-    (``_write_float_csvs`` or ``_prefetched_blocks``)."""
+    (``write_csv_columns`` or ``_prefetched_blocks``)."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     calls = []
     real_fork = os.fork

@@ -18,6 +18,7 @@ from cfmonitor.harness import (
     SyntheticLeaderSpec,
     _window_seed,
     default_leader_spec,
+    default_scenario,
     save_trajectory,
     synthetic_leader,
 )
@@ -118,6 +119,9 @@ class TestConfigParsing:
         assert sc.sgld.K_iters == 1000
         assert sc.seed == 9
 
+    def test_no_keys_give_the_default_scenario(self):
+        assert scenario_from_config({}) == default_scenario()
+
     def test_switch_can_be_disabled(self):
         sc = scenario_from_config({"plant.switch_time": None})
         assert len(sc.schedule) == 1
@@ -172,7 +176,7 @@ class TestConfigHoles:
         ("window.length = 1e-12", "window_length must be a positive multiple"),
         ("window.length = 0.01", "window_length must be a positive multiple"),
         # these four used to pass here and stop a closed-loop run midway
-        ("prior.variance = 0", "prior_variance must be positive"),
+        ("prior.variance = 0", "prior variance must be positive"),
         ("prior.rolling_lambda = -1", "rolling_lambda must be positive"),
         ("seed = -1", "seed must be non-negative"),
         ("monitor.escalation = gains\ncontroller.k_s = 5",
@@ -260,7 +264,10 @@ class TestCliStability:
     def test_bad_grid_spec_is_config_error(self, tmp_path):
         for ranges in (["bad", "0:5:3"],
                        # too many cells, rejected before any grid is allocated
-                       ["0:5:10000000000000", "0:5:3"], ["0:5:30000", "0:5:30000"]):
+                       ["0:5:10000000000000", "0:5:3"], ["0:5:30000", "0:5:30000"],
+                       # non-finite bounds: nan used to give rows of k_s = nan,
+                       # inf a RuntimeWarning from np.linspace first
+                       ["nan:1:1", "0:1:2"], ["0:inf:2", "0:1:2"]):
             assert main(["stability", "--sweep", "k_s", "k_v", "--range", *ranges,
                          "--out", str(tmp_path / "r.csv")]) == 2, ranges
         # checked without --sweep too
@@ -507,9 +514,9 @@ class TestCliSimulate:
     def test_leader_at_another_step_is_config_error(self, tmp_path, capsys):
         # uniform at 0.02 s: the message says so, rather than calling it
         # non-uniform at the row where rounding strays furthest from 0.01 s
-        spec = SyntheticLeaderSpec(segments=(LeaderSegment(30.0, 0.0),), t_s=0.02)
+        spec = SyntheticLeaderSpec(segments=(LeaderSegment(30.0, 0.0),))
         path = tmp_path / "leader.csv"
-        save_trajectory(synthetic_leader(spec), path)
+        save_trajectory(synthetic_leader(spec, 0.02), path)
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(f"leader.source = {path}\n")
         assert main(["simulate", "--config", str(cfg),

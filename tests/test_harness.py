@@ -60,10 +60,9 @@ COLLIDING = short_scenario(leader_spec=BRAKING,
                            schedule=[(0.0, PlantParams(1.5, 0.5, 0.0))])
 
 
-def scalar_leader(spec):
+def scalar_leader(spec, t_s=0.01):
     """`synthetic_leader` as it was written before it was vectorized, one
     sample at a time: the reference for its bytes."""
-    t_s = spec.t_s
     v, x = spec.v0, spec.x0
     starts = [0.0]
     states = [(v, x)]

@@ -38,6 +38,12 @@ class TestPolicy:
         {"tau_star_escalated": 0.0},
         {"bound_inflation": 0.0},
         {"tau_star_slew": 0.0},
+        # NaN compares false both ways, so "<= 0" let it through
+        {"accepted_change_T_L": float("nan")},
+        {"accepted_change_K_L": float("nan")},
+        {"tau_star_escalated": float("nan")},
+        {"bound_inflation": float("nan")},
+        {"tau_star_slew": float("nan")},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):

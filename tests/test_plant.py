@@ -29,7 +29,7 @@ NOMINAL = PlantParams(T_L_true=0.3, K_L_true=1.0, sigma_eps=0.0)
 
 def constant_leader(speed=20.0, duration=10.0, t_s=0.01):
     return synthetic_leader(SyntheticLeaderSpec(
-        segments=(LeaderSegment(duration, 0.0),), v0=speed, t_s=t_s))
+        segments=(LeaderSegment(duration, 0.0),), v0=speed), t_s)
 
 
 class TestControllerConfig:
@@ -528,13 +528,15 @@ class TestScheduleCheck:
             run_closed_loop(ScenarioConfig(controller=CFG, schedule=schedule,
                                            leader_spec=self.SPEC))
 
-    def test_sampling_rate_mismatch_rejected_by_closed_loop(self):
-        spec = SyntheticLeaderSpec(segments=(LeaderSegment(2.0, 0.0),), t_s=0.02)
-        # uniform, but at another step than the controller's
-        with pytest.raises(ValueError, match=r"^leader sampled every 0\.02 s, but "
-                                             r"controller\.t_s is 0\.01 s$"):
-            run_closed_loop(ScenarioConfig(controller=CFG, schedule=[(0.0, NOMINAL)],
-                                           leader_spec=spec, window_length=2.0))
+    def test_synthetic_leader_sampled_at_controller_step(self):
+        # a synthetic leader has no step of its own: it takes controller.t_s
+        cfg = ControllerConfig(t_s=0.02)
+        report = run_closed_loop(ScenarioConfig(
+            controller=cfg, schedule=[(0.0, NOMINAL)], leader_spec=self.SPEC,
+            window_length=1.0, sgld=SgldHyper(K_iters=200)))
+        assert np.diff(report.leader.time) == pytest.approx(0.02, rel=1e-12)
+        assert len(report.follower) == 101
+        assert len(report.windows) == 2
 
     def test_switch_at_the_last_sample_accepted(self):
         leader = synthetic_leader(self.SPEC)
