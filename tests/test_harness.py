@@ -60,9 +60,10 @@ COLLIDING = short_scenario(leader_spec=BRAKING,
                            schedule=[(0.0, PlantParams(1.5, 0.5, 0.0))])
 
 
-def scalar_leader(spec, t_s=0.01):
+def scalar_leader(spec):
     """`synthetic_leader` as it was written before it was vectorized, one
-    sample at a time: the reference for its bytes."""
+    sample at a time, at its default step: the reference for its bytes."""
+    t_s = 0.01
     v, x = spec.v0, spec.x0
     starts = [0.0]
     states = [(v, x)]
