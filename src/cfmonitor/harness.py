@@ -101,6 +101,8 @@ class ScenarioConfig:
         # checked here too, so a bad value fails before the run, not in it
         if not self.rolling_lambda > 0:
             raise ValueError("rolling_lambda must be positive")
+        if not self.smoothing_width >= 0:
+            raise ValueError("smoothing_width must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         # monitor.apply_decision refuses to shrink a gain, mid-run
@@ -211,7 +213,7 @@ def smooth_acceleration(traj: Trajectory, kernel_width: float) -> Trajectory:
     """Gaussian-smooth the acceleration profile (std = kernel_width
     seconds, truncated at 3 sigma) and re-integrate speed and position so
     the trajectory stays kinematically consistent.  Width 0 is identity."""
-    if kernel_width < 0:
+    if not kernel_width >= 0:
         raise ValueError("kernel_width must be non-negative")
     if kernel_width == 0 or len(traj) < 2:
         return Trajectory(traj.time.copy(), traj.position.copy(),
@@ -343,12 +345,6 @@ def _forked(work):
             os.waitpid(pid, 0)
 
 
-# bytes the block pipe holds: more than a default window's blocks (16 of
-# 8 x 256 float64, 256 KiB), so the helper writes a window's blocks without
-# waiting on the chain and then makes the next window's draws while it runs
-_PIPE_BYTES = 1 << 20
-
-
 @contextlib.contextmanager
 def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     """While the block runs, a forked helper makes the SGLD chain inputs of
@@ -372,8 +368,6 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     if not (seeds and _can_offload()):
         yield None
         return
-    import fcntl  # POSIX, as fork is
-
     k = min(hyper.minibatch_n, n)
     # Each pipe write wakes the other process as one that the writer is about
     # to wait for, so the scheduler tends to run both on the writer's CPU,
@@ -424,10 +418,6 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
         to_helper = stack.enter_context(open(products_write, "wb", buffering=0))
         with open(blocks_write, "wb") as blocks_out, \
                 open(products_read, "rb") as products_in:
-            set_size = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
-            if set_size is not None:
-                with contextlib.suppress(OSError):  # e.g. above the user's limit
-                    fcntl.fcntl(blocks_write, set_size, _PIPE_BYTES)
             forked = stack.enter_context(_forked(produce))
             if forked is not None and own:
                 with contextlib.suppress(OSError):
@@ -474,7 +464,7 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     w = 0
     seeds = [_window_seed(scenario.seed, i) for i in range(n_windows)]
     with _prefetched_blocks(seeds, win_steps, scenario.sgld) as window_fill:
-        while start < n and collision_time is None:
+        while start < n:
             stop = min(start + win_steps, n)
             active_cfg = (cfg if tau_active == cfg.tau_star
                           else replace(cfg, tau_star=tau_active))
@@ -486,11 +476,10 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                 piece.demanded_accel)
             filled += len(piece)
             collision_time = piece.collision_time
-            if collision_time is not None or len(piece) < stop - start:
+            if collision_time is not None:
                 break
             ego = piece.final_state
-            complete = stop - start == win_steps and w < n_windows
-            if complete:
+            if w < n_windows:
                 hyper = replace(scenario.sgld, seed=seeds[w])
                 batch = batch_from_series(
                     piece.accel, piece.demanded_accel, cfg.t_s,
@@ -513,10 +502,9 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                     prior = update_prior(estimate, scenario.rolling_lambda)
                 w += 1
                 max_step = scenario.policy.tau_star_slew * scenario.window_length
+                # apply_decision never lowers cfg.tau_star, so the slew only rises
                 if tau_active < cfg.tau_star:
                     tau_active = min(cfg.tau_star, tau_active + max_step)
-                elif tau_active > cfg.tau_star:
-                    tau_active = max(cfg.tau_star, tau_active - max_step)
             start = stop
 
     follower = plant.SimulationResult(*follower_cols[:, :filled], collision_time)

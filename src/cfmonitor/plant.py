@@ -185,7 +185,8 @@ def check_schedule(
     times = [t for t, _ in schedule]
     _require(times == sorted(times), "schedule times must be sorted")
     _require(abs(times[0] - float(leader.time[0])) < 1e-9,
-             "first schedule entry must be at the trajectory start")
+             "first schedule entry must be at the trajectory start: the schedule "
+             f"starts at t={times[0]:g} s, the leader at t={float(leader.time[0]):g} s")
     for t_sw, params in schedule:
         _require(t_sw <= leader.time[-1], f"schedule time {t_sw} outside trajectory span")
         _require(params.T_L_true > t_s / 2,

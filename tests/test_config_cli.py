@@ -104,6 +104,9 @@ class TestConfigParsing:
         path.write_text("controller.k_s 2.0\n")
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config_file(path)
+        path.write_text("seed = 1\n = 5\n")
+        with pytest.raises(ConfigError, match=":2: empty key"):
+            parse_config_file(path)
 
     def test_scenario_from_values(self):
         sc = scenario_from_config({
@@ -184,6 +187,8 @@ class TestConfigHoles:
         # JSON booleans are not numbers; false used to be read as 0.0
         ("controller.k_s = true", "controller.k_s: expected a finite number"),
         ("prior.variance = false", "prior.variance: expected a finite number"),
+        # the closed loop smooths only a positive width, so this is checked first
+        ("leader.smoothing_width = -1", "smoothing_width must be non-negative"),
     ])
     def test_rejected_with_exit_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "scenario.cfg"
@@ -267,7 +272,9 @@ class TestCliStability:
                        ["0:5:10000000000000", "0:5:3"], ["0:5:30000", "0:5:30000"],
                        # non-finite bounds: nan used to give rows of k_s = nan,
                        # inf a RuntimeWarning from np.linspace first
-                       ["nan:1:1", "0:1:2"], ["0:inf:2", "0:1:2"]):
+                       ["nan:1:1", "0:1:2"], ["0:inf:2", "0:1:2"],
+                       # an empty axis
+                       ["0:1:0", "0:1:2"]):
             assert main(["stability", "--sweep", "k_s", "k_v", "--range", *ranges,
                          "--out", str(tmp_path / "r.csv")]) == 2, ranges
         # checked without --sweep too
@@ -523,6 +530,43 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == (
             "error: leader sampled every 0.02 s, but controller.t_s is 0.01 s\n")
+
+    def test_leader_not_starting_at_zero_is_config_error(self, tmp_path, capsys):
+        # the schedule's first entry is always at 0 s, so the message names
+        # both clocks rather than only the schedule's
+        leader = synthetic_leader(default_leader_spec())
+        path = tmp_path / "leader.csv"
+        save_trajectory(Trajectory(leader.time + 100.0, leader.position,
+                                   leader.speed, leader.accel), path)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"leader.source = {path}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error: first schedule entry must be at the trajectory start: the "
+            "schedule starts at t=0 s, the leader at t=100 s\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_no_strategy_matches_disabled_engine(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sgld.K_iters = 200\n")
+        off = tmp_path / "off.cfg"
+        off.write_text("sgld.K_iters = 200\nmonitor.enabled = false\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(cfg), "--no-strategy",
+                         "--out", str(tmp_path / "flag")]) == 0
+            assert main(["simulate", "--config", str(off),
+                         "--out", str(tmp_path / "key")]) == 0
+        names = sorted(os.listdir(tmp_path / "key"))
+        assert sorted(os.listdir(tmp_path / "flag")) == names
+        for name in names:
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "key" / name).read_bytes()), name
+        decisions = [strict_json(line) for line in
+                     (tmp_path / "flag" / "decisions.jsonl").read_text().splitlines()]
+        # the monitor decided to act, and nothing was applied
+        assert any(d["action"] != "none" for d in decisions)
+        assert not any(d["applied"] for d in decisions)
 
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

@@ -512,6 +512,8 @@ class TestSgldRun:
         batch = synthetic_batch(1.0, 0.3, n=200, seed=8)
         est = sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=8), fix_lag=0.3)
         assert np.all(est.samples[:, 1] == 0.3)
+        with pytest.raises(ValueError, match="fix_lag must be positive"):
+            sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=8), fix_lag=0.0)
 
 
 class TestPosteriorSummary:

@@ -126,6 +126,10 @@ class TestSyntheticLeader:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             synthetic_leader(SyntheticLeaderSpec(segments=(), v0=10.0))
+        # a positive total does not let one non-positive segment through
+        with pytest.raises(ValueError, match="segment durations must be positive"):
+            synthetic_leader(SyntheticLeaderSpec(
+                segments=(LeaderSegment(2.0, 0.0), LeaderSegment(-1.0, 0.0))))
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +151,9 @@ class TestLeaderCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time,speed\n0.0,1.0\n0.01,1.0\n")
         with pytest.raises(ValueError, match="position.*accel|accel.*position"):
+            load_leader(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty file")):
             load_leader(path)
 
     def test_malformed_row_numbered(self, tmp_path):
@@ -211,8 +218,9 @@ class TestSmoothing:
     def test_negative_width_rejected(self):
         traj = synthetic_leader(SyntheticLeaderSpec(
             segments=(LeaderSegment(1.0, 0.0),), v0=10.0))
-        with pytest.raises(ValueError):
-            smooth_acceleration(traj, -0.1)
+        for width in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="kernel_width must be non-negative"):
+                smooth_acceleration(traj, width)
 
     @pytest.mark.parametrize("width", [0.34, 1e6, 1e200])
     def test_kernel_longer_than_trajectory_rejected(self, width):
@@ -233,6 +241,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(controller=ControllerConfig(),
                            schedule=[(0.0, NOMINAL)])
+
+    @pytest.mark.parametrize("width", [-1.0, float("nan")])
+    def test_smoothing_width_must_be_non_negative(self, width):
+        # run_closed_loop smooths only a positive width, so a bad one would
+        # run unsmoothed without reaching smooth_acceleration's check
+        with pytest.raises(ValueError, match="smoothing_width must be non-negative"):
+            short_scenario(smoothing_width=width)
 
     def test_window_must_divide_into_steps(self):
         with pytest.raises(ValueError):
