@@ -4,7 +4,8 @@ Subcommands: ``simulate`` (closed loop), ``estimate`` (offline posterior
 estimation from a CSV of accel/demand logs), ``stability`` (verdict and
 region sweep), ``synth`` (synthetic leader generation).
 
-Exit codes: 0 success, 2 configuration error, 3 collision, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a run too large for memory
+included), 3 collision, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -201,6 +202,11 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy names the allocation that failed; Python's own is bare
+        print(f"error: not enough memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

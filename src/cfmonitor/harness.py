@@ -345,6 +345,13 @@ def _forked(work):
             os.waitpid(pid, 0)
 
 
+# bytes the block pipe asks for: a default window's blocks (16 of 8 x 256
+# float64, 256 KiB) with room to spare, so the helper writes a window's
+# blocks without waiting on the chain and then makes the next window's
+# draws while it runs
+_PIPE_BYTES = 1 << 20
+
+
 @contextlib.contextmanager
 def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     """While the block runs, a forked helper makes the SGLD chain inputs of
@@ -353,7 +360,9 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     minibatch size and iterations) ahead of the window, reads the window's
     ``(n, 5)`` `_scaled_products` from one pipe, and writes its
     `_block_inputs` as raw float64 bytes to another.  The block pipe's
-    capacity bounds how far ahead the helper runs.
+    capacity bounds how far ahead the helper runs; it asks for
+    ``_PIPE_BYTES`` where the platform can set it, and a refusal keeps
+    the default size.
 
     Yields ``window_fill(w, batch)``, which sends window ``w``'s products
     (raising ``ValueError`` where they overflow) and returns the filler of
@@ -368,6 +377,8 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     if not (seeds and _can_offload()):
         yield None
         return
+    import fcntl  # POSIX, as fork is
+
     k = min(hyper.minibatch_n, n)
     # Each pipe write wakes the other process as one that the writer is about
     # to wait for, so the scheduler tends to run both on the writer's CPU,
@@ -418,6 +429,10 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
         to_helper = stack.enter_context(open(products_write, "wb", buffering=0))
         with open(blocks_write, "wb") as blocks_out, \
                 open(products_read, "rb") as products_in:
+            # F_SETPIPE_SZ is Linux only; where it is missing or refused
+            # (above the user's limit, say) the pipe keeps its default size
+            with contextlib.suppress(AttributeError, OSError):
+                fcntl.fcntl(blocks_write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
             forked = stack.enter_context(_forked(produce))
             if forked is not None and own:
                 with contextlib.suppress(OSError):

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import numpy as np
-
 from . import stability
 from .plant import ControllerConfig
 from .estimator import PosteriorEstimate

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from cfmonitor import cli
 from cfmonitor.cli import main
 from cfmonitor.config import ConfigError, parse_config_file, scenario_from_config
 from cfmonitor.harness import (
@@ -568,6 +569,22 @@ class TestCliSimulate:
         assert any(d["action"] != "none" for d in decisions)
         assert not any(d["applied"] for d in decisions)
 
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 59.6 GiB for an array with shape "
+                     "(3999997600, 2) and data type float64"),
+         "Unable to allocate 59.6 GiB"),
+        (MemoryError(), "an allocation failed"),
+    ])
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys, exc,
+                                   message):
+        def run_closed_loop(scenario):
+            raise exc
+        monkeypatch.setattr(cli, "run_closed_loop", run_closed_loop)
+        assert main(["simulate", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: ") and message in err
+        assert err.count("\n") == 1
+
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(
@@ -582,6 +599,37 @@ class TestCliSimulate:
         code = main(["simulate", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "run")])
         assert code == 3
+
+
+class TestFreshInterpreter:
+    """Runs in a new interpreter, which nothing in this session has imported
+    into."""
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_run_imports_no_numpy_ma(self, tmp_path, command):
+        # numpy 2's np.quantile imports numpy.ma on its first call, about
+        # 10 ms; numpy 1 imports it with numpy, so it is there before the call
+        if command == "simulate":
+            (tmp_path / "short.cfg").write_text("sgld.K_iters = 200\n")
+            argv = ["simulate", "--config", str(tmp_path / "short.cfg"),
+                    "--out", str(tmp_path / "run")]
+        else:
+            TestCliEstimate()._write_log(tmp_path / "log.csv")
+            argv = ["estimate", str(tmp_path / "log.csv"),
+                    "--out", str(tmp_path / "est.json")]
+        script = ("import sys\n"
+                  "from cfmonitor.cli import main\n"
+                  "before = 'numpy.ma' in sys.modules\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, before, 'numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, before, after = proc.stdout.split()[-3:]
+        assert code == "0"
+        assert before == "True" or after == "False"
 
 
 # messages of the errors a run can end with after its configuration was

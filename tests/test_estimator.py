@@ -525,6 +525,29 @@ class TestPosteriorSummary:
         credible = posterior_summary(samples).credible
         assert credible.tobytes() == np.column_stack([lo, hi]).tobytes()
 
+    # n = 1600 and 600 are the chain sizes of the default run and of the
+    # long replay's 1000-iteration windows
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 4000), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans(), constant=st.booleans(),
+           nan_at=st.none() | st.integers(0, 3999))
+    @example(n=1600, seed=0, ties=False, constant=False, nan_at=None)
+    @example(n=600, seed=1, ties=True, constant=False, nan_at=None)
+    @example(n=2, seed=2, ties=False, constant=True, nan_at=1)
+    def test_credible_is_numpy_quantile(self, n, seed, ties, constant, nan_at):
+        samples = (np.random.default_rng(seed).standard_normal((n, 2))
+                   * [0.1, 0.05] + [1.0, 0.3])
+        if ties:
+            # + 0.0 turns -0.0 into 0.0; the two compare equal, so neither
+            # a sort nor np.quantile's partition orders them
+            samples = samples.round(2) + 0.0
+        if constant:
+            samples[:, 0] = 1.2
+        if nan_at is not None:
+            samples[nan_at % n, 1] = np.nan
+        expected = np.quantile(samples, [0.025, 0.975], axis=0).T
+        assert posterior_summary(samples).credible.tobytes() == expected.tobytes()
+
     def test_degenerate_samples(self):
         s = np.tile([1.2, 0.4], (10, 1))
         est = posterior_summary(s)

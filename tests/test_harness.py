@@ -383,6 +383,35 @@ class TestPrefetchedDraws:
                     == (tmp_path / "in_process" / name).read_bytes()), name
         assert_no_children()
 
+    @pytest.mark.parametrize("platform", ["refused", "no_constant"])
+    def test_default_pipe_size_keeps_artifacts(self, tmp_path, monkeypatch, forks,
+                                               assert_no_children, config, platform):
+        fcntl = pytest.importorskip("fcntl")
+        cfg = config("sgld.K_iters = 1100\n")
+        assert self.simulate(cfg, tmp_path / "asked") == (0, "")
+        refused = []
+        if platform == "refused":
+            real_fcntl = fcntl.fcntl
+
+            def refuse(fd, cmd, *args):
+                if cmd == getattr(fcntl, "F_SETPIPE_SZ", None):
+                    refused.append(cmd)
+                    raise PermissionError(1, "Operation not permitted")
+                return real_fcntl(fd, cmd, *args)
+            monkeypatch.setattr(fcntl, "fcntl", refuse)
+        else:
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+        assert self.simulate(cfg, tmp_path / "default") == (0, "")
+        assert forks.count("_prefetched_blocks") == 2
+        if platform == "refused" and hasattr(fcntl, "F_SETPIPE_SZ"):
+            assert refused
+        names = sorted(os.listdir(tmp_path / "asked"))
+        assert len(names) == 7 and names == sorted(os.listdir(tmp_path / "default"))
+        for name in names:
+            assert ((tmp_path / "asked" / name).read_bytes()
+                    == (tmp_path / "default" / name).read_bytes()), name
+        assert_no_children()
+
     def test_child_failure_exits_4(self, tmp_path, monkeypatch, forks,
                                    assert_no_children, config):
         parent, calls = os.getpid(), []
