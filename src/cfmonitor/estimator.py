@@ -41,6 +41,10 @@ _SLAB = 4 * _BLOCK
 # the five minibatch sums and the two scaled noises.
 _BLOCK_ROWS = 8
 
+# the standard normal's two-sided 95 % point, for an unsampled window's
+# credible bounds (the prior's own central interval)
+_Z95 = 1.959964
+
 _DIVERGED = ("SGLD chain diverged (K_L or T_L left the positive floats); "
              "reduce sgld.eta_1 or sgld.max_drift")
 
@@ -149,7 +153,8 @@ class SgldHyper:
 
 @dataclass
 class PosteriorEstimate:
-    """Post-burn-in sample set with its empirical summary."""
+    """Post-burn-in sample set with its empirical summary, or, with no
+    samples, the prior of a window that was not sampled."""
 
     samples: np.ndarray  # (n, 2), columns (K_L, T_L)
     mean: np.ndarray
@@ -343,18 +348,30 @@ def sgld_run(
     (K_L, T_L) posterior itself).  ``fix_lag`` freezes T_L at the given
     value and samples K_L only.  Deterministic given ``hyper.seed``.
 
+    A window without the excitation to identify both parameters (see
+    `_identifiability`; only when ``fix_lag`` is None) is not sampled: no
+    draw is made and no step taken, and the estimate is the prior itself
+    (see `_prior_estimate`), flagged ``low_confidence``.
+
     Minibatch gradients come from sums of `_scaled_products`; indices and
     noise are drawn ``_BLOCK`` iterations at a time, index collisions are
     resolved ``_SLAB`` iterations at a time, and the chain itself steps on
     plain floats.  ``fill``, when given, supplies the chain's inputs made
     ahead (for example in another process): ``fill(block)`` fills each
     empty ``(8, m)`` float64 block, in iteration order, as `_block_inputs`
-    would for this batch and ``hyper``.  A chain that leaves the positive
-    floats raises ``ValueError``.
+    would for this batch and ``hyper``; for a window that is not sampled,
+    ``fill(None)`` is called once instead, so the maker can drop it.  A
+    chain that leaves the positive floats raises ``ValueError``.
     """
+    # checked on a window that is not sampled too, so that overflowing
+    # observations are an error whatever their excitation
+    products = _scaled_products(batch, hyper) if fill is None else None
+    if fix_lag is None and not _identifiability(batch):
+        if fill is not None:
+            fill(None)
+        return _prior_estimate(prior)
     if fill is None:
         n_total = len(batch)
-        products = _scaled_products(batch, hyper)
         blocks = _block_inputs(products, _slab_draws(
             hyper.seed, n_total, min(hyper.minibatch_n, n_total), hyper.K_iters),
             hyper.eta_1)
@@ -410,9 +427,19 @@ def sgld_run(
     if not (np.isfinite(samples).all() and (samples > 0).all()):
         raise ValueError(_DIVERGED)
 
-    est = posterior_summary(samples)
-    est.low_confidence = fix_lag is None and not _identifiability(batch)
-    return est
+    return posterior_summary(samples)
+
+
+def _prior_estimate(prior: GaussianPrior) -> PosteriorEstimate:
+    """The estimate of a window that is not sampled: no samples, the
+    prior's mean and covariance, and its central 95 % interval as the
+    credible bounds (mean +- 1.96 sd, which may reach below 0), flagged
+    ``low_confidence``."""
+    mean = np.array(prior.mean, dtype=float)
+    half = _Z95 * math.sqrt(prior.variance)
+    return PosteriorEstimate(np.empty((0, 2)), mean, prior.variance * np.eye(2),
+                             np.column_stack([mean - half, mean + half]),
+                             low_confidence=True)
 
 
 def posterior_summary(samples: np.ndarray) -> PosteriorEstimate:

@@ -351,28 +351,38 @@ def _forked(work):
 # draws while it runs
 _PIPE_BYTES = 1 << 20
 
+# the first byte of each window's message to the helper: the chain skips
+# the window, or samples it and the window's products follow
+_SKIP, _SAMPLE = b"\0", b"\1"
+
 
 @contextlib.contextmanager
 def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     """While the block runs, a forked helper makes the SGLD chain inputs of
-    every window, in window order.  For window ``w`` it makes the draws
-    (`_slab_draws` with seed ``seeds[w]``, ``n`` samples and ``hyper``'s
-    minibatch size and iterations) ahead of the window, reads the window's
-    ``(n, 5)`` `_scaled_products` from one pipe, and writes its
-    `_block_inputs` as raw float64 bytes to another.  The block pipe's
-    capacity bounds how far ahead the helper runs; it asks for
-    ``_PIPE_BYTES`` where the platform can set it, and a refusal keeps
-    the default size.
+    every sampled window, in window order.
 
-    Yields ``window_fill(w, batch)``, which sends window ``w``'s products
-    (raising ``ValueError`` where they overflow) and returns the filler of
-    its blocks for `sgld_run`'s ``fill``; windows are taken in order, each
-    read to its end.  Yields None, and each chain makes its own inputs,
-    when there is no window or `_can_offload` is false, or the fork fails.
-    A helper that ends early makes the send or the read raise ``OSError``
-    naming the window.  Where this thread may run on two or more CPUs, it
-    keeps to the lowest of them until the block ends, and the helper to the
-    others.
+    For each window ``w`` the helper reads a one-byte header from one pipe:
+    ``_SKIP`` when `sgld_run` does not sample the window, or ``_SAMPLE``
+    followed by the window's ``(n, 5)`` `_scaled_products`; for a sampled
+    window it writes the `_block_inputs` as raw float64 bytes to another
+    pipe.  Until the header comes, the helper makes the window's draws
+    (`_slab_draws` with seed ``seeds[w]``, ``n`` samples and ``hyper``'s
+    minibatch size and iterations) ahead, a slab at a time, and drops them
+    on ``_SKIP``; a window whose header has already come is drawn only if
+    sampled.  The block pipe's capacity bounds how far ahead the helper
+    runs; it asks for ``_PIPE_BYTES`` where the platform can set it, and a
+    refusal keeps the default size.
+
+    Yields ``window_fill(w, batch)``, which computes window ``w``'s
+    products (raising ``ValueError`` where they overflow) and returns the
+    ``fill`` for `sgld_run`: its first call sends the header (``_SKIP`` on
+    ``fill(None)``), and each ``fill(block)`` reads a block.  Windows are
+    taken in order, a sampled one read to its end.  Yields None, and each
+    chain makes its own inputs, when there is no window or `_can_offload`
+    is false, or the fork fails.  A helper that ends early makes the send
+    or the read raise ``OSError`` naming the window.  Where this thread may
+    run on two or more CPUs, it keeps to the lowest of them until the block
+    ends, and the helper to the others.
     """
     if not (seeds and _can_offload()):
         yield None
@@ -389,17 +399,34 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     own = {min(cpus)} if len(cpus) >= 2 else None
 
     def produce():
+        import select
         # the parent's ends: the writes fail, not block, once it is gone
         from_helper.close()
         to_helper.close()
         if own:
             with contextlib.suppress(OSError):  # e.g. a CPU taken away meanwhile
                 os.sched_setaffinity(0, cpus - own)
+        # products_in is unbuffered, so a poll sees every byte not yet read
+        poll = select.poll()
+        poll.register(products_in, select.POLLIN)
         products = np.empty((n, 5))
         for seed in seeds:
-            slabs = list(_slab_draws(seed, n, k, hyper.K_iters))
-            if products_in.readinto(products) != products.nbytes:
+            # draw ahead, a slab at a time, until the window's header comes
+            draws, slabs = _slab_draws(seed, n, k, hyper.K_iters), []
+            while not poll.poll(0) and (slab := next(draws, None)) is not None:
+                slabs.append(slab)
+            header = products_in.read(1)
+            if header == _SKIP:
+                continue
+            if header != _SAMPLE:
                 return  # the parent took no more windows
+            slabs.extend(draws)
+            view = memoryview(products).cast("B")
+            while view:
+                got = products_in.readinto(view)
+                if not got:
+                    return
+                view = view[got:]
             for _, block in _block_inputs(products, slabs, hyper.eta_1):
                 blocks_out.write(block)
             blocks_out.flush()
@@ -409,15 +436,19 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
                        f"the inputs of window {w}")
 
     def window_fill(w, batch):
-        view = memoryview(_scaled_products(batch, hyper)).cast("B")
-        try:
-            while view:
-                view = view[to_helper.write(view):]
-        except BrokenPipeError:
-            raise ended(w) from None
+        message = _SAMPLE + _scaled_products(batch, hyper).tobytes()
 
         def fill(block):
-            if from_helper.readinto(block) != block.nbytes:
+            nonlocal message
+            if message:  # the first call sends the window's header
+                view = memoryview(_SKIP if block is None else message)
+                message = b""
+                try:
+                    while view:
+                        view = view[to_helper.write(view):]
+                except BrokenPipeError:
+                    raise ended(w) from None
+            if block is not None and from_helper.readinto(block) != block.nbytes:
                 raise ended(w)
         return fill
 
@@ -428,7 +459,7 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
         # unbuffered, so a failed send leaves nothing to flush at close
         to_helper = stack.enter_context(open(products_write, "wb", buffering=0))
         with open(blocks_write, "wb") as blocks_out, \
-                open(products_read, "rb") as products_in:
+                open(products_read, "rb", buffering=0) as products_in:
             # F_SETPIPE_SZ is Linux only; where it is missing or refused
             # (above the user's limit, say) the pipe keeps its default size
             with contextlib.suppress(AttributeError, OSError):

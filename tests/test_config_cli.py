@@ -393,6 +393,23 @@ class TestCliEstimate:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 4
 
+    def test_unidentifiable_log_is_not_sampled(self, tmp_path):
+        # constant demand identifies neither parameter: the record is the
+        # configured prior, with no samples
+        log = tmp_path / "log.csv"
+        log.write_text("time,accel,demand\n"
+                       + "".join(f"{i / 100!r},0.5,0.5\n" for i in range(200)))
+        cfg = tmp_path / "prior.cfg"
+        cfg.write_text("prior.mean_K_L = 0.8\nprior.mean_T_L = 0.5\nprior.variance = 4\n")
+        out = tmp_path / "estimate.json"
+        assert main(["estimate", str(log), "--config", str(cfg), "--out", str(out)]) == 0
+        est = json.loads(out.read_text())
+        assert est["sample_count"] == 0 and est["low_confidence"] is True
+        assert est["posterior_mean"] == {"K_L": 0.8, "T_L": 0.5}
+        assert est["covariance"] == [[4.0, 0.0], [0.0, 4.0]]
+        assert est["credible_95"]["K_L"] == pytest.approx([0.8 - 3.919928, 0.8 + 3.919928])
+        assert est["credible_95"]["T_L"] == pytest.approx([0.5 - 3.919928, 0.5 + 3.919928])
+
     def test_overflowing_log_is_config_error(self, tmp_path, capsys):
         # a finite accel whose square overflows made the sampler's drift NaN,
         # which slipped past the max_drift clip and overflowed exp()

@@ -416,6 +416,32 @@ class TestSgldRun:
         est = sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=0))
         assert est.low_confidence
 
+    @pytest.mark.parametrize("supplied", [False, True], ids=["in_process", "fill"])
+    def test_unexcited_window_not_sampled(self, monkeypatch, supplied):
+        def no_draws(*args):
+            raise AssertionError("drew for a window that is not sampled")
+        monkeypatch.setattr("cfmonitor.estimator._slab_draws", no_draws)
+        batch = batch_from_series(np.full(200, 0.001), np.full(200, 0.001), 0.01)
+        prior = GaussianPrior((0.9, 0.4), 0.25)
+        calls = []
+        est = sgld_run(batch, prior, SgldHyper(seed=0),
+                       fill=calls.append if supplied else None)
+        # a maker of the inputs ahead is told once, and asked for no block
+        assert calls == ([None] if supplied else [])
+        assert est.samples.shape == (0, 2) and est.low_confidence
+        assert est.mean.tolist() == [0.9, 0.4]
+        assert est.covariance.tolist() == [[0.25, 0.0], [0.0, 0.25]]
+        # the prior's central 95 % interval, 1.959964 sd each side
+        assert est.credible == pytest.approx(np.array(
+            [[0.9 - 0.979982, 0.9 + 0.979982], [0.4 - 0.979982, 0.4 + 0.979982]]))
+
+    def test_unexcited_window_sampled_with_fixed_lag(self):
+        # with T_L fixed, K_L alone is identified by the ratio u/a
+        batch = batch_from_series(np.full(200, 0.001), np.full(200, 0.001), 0.01)
+        hyper = SgldHyper(K_iters=500, burn_in_c=300, seed=0)
+        est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag=0.3)
+        assert est.samples.shape == (200, 2) and not est.low_confidence
+
     def test_collinear_window_flagged_low_confidence(self):
         # demand proportional to accel: only the ratio is identifiable
         n = 200

@@ -309,6 +309,31 @@ class TestRunClosedLoop:
                 assert not w.decision.anomaly
                 assert not w.applied
 
+    def test_unsampled_windows_hold_their_prior(self):
+        # the leader's cruise stretches carry too little excitation to
+        # identify both parameters: those windows run no chain
+        report = run_closed_loop(default_scenario(seed=1))
+        unsampled = [w.index for w in report.windows
+                     if harness.estimate_record(w.estimate)["sample_count"] == 0]
+        assert unsampled == [0, 1, 2, 3, 6, 8, 9, 10, 11]
+        for w in report.windows:
+            est = w.estimate
+            assert est.low_confidence == (w.index in unsampled)
+            if w.index not in unsampled:
+                continue
+            assert (est.K_L, est.T_L) == w.prior_mean
+            assert np.array_equal(est.covariance, w.prior_variance * np.eye(2))
+            half = 1.959964 * w.prior_variance ** 0.5
+            assert np.isfinite(est.credible).all()
+            assert est.credible == pytest.approx(
+                np.array([[m - half, m + half] for m in w.prior_mean]))
+            assert w.decision.rationale == ["estimate flagged low-confidence; no action"]
+            assert not w.decision.anomaly and not w.applied
+            # a window that is not sampled seeds no prior
+            following = report.windows[w.index + 1]
+            assert following.prior_mean == w.prior_mean
+            assert following.prior_variance == w.prior_variance
+
     def test_time_gap_rises_gradually_after_escalation(self):
         sc = default_scenario(seed=1)
         report = run_closed_loop(sc)
@@ -333,7 +358,10 @@ class TestPrefetchedDraws:
     @pytest.fixture
     def config(self, tmp_path):
         """A 12 s leader (six windows) and a switch at 6 s; K_iters spans
-        two slabs, or the window is one full batch."""
+        two slabs, or the window is one full batch.  Windows 0 and 2, at
+        constant leader speed, are not sampled, and each is followed by a
+        sampled one, so a skipped window's blocks left in the pipe would
+        feed the next chain."""
         def write(text):
             save_trajectory(synthetic_leader(SyntheticLeaderSpec(segments=(
                 LeaderSegment(3.0, 0.0), LeaderSegment(3.0, -1.0),
@@ -366,6 +394,9 @@ class TestPrefetchedDraws:
         cfg = config(sgld)
         assert self.simulate(cfg, tmp_path / "prefetch") == (0, "")
         assert forks.count("_prefetched_blocks") == 1
+        counts = [json.loads(line)["sample_count"] for line in
+                  (tmp_path / "prefetch" / "estimates.jsonl").read_text().splitlines()]
+        assert [count > 0 for count in counts] == [False, True, False, True, True, True]
         if no_prefetch == "one_cpu":
             monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         elif no_prefetch == "no_fork":
@@ -412,22 +443,39 @@ class TestPrefetchedDraws:
                     == (tmp_path / "default" / name).read_bytes()), name
         assert_no_children()
 
-    def test_child_failure_exits_4(self, tmp_path, monkeypatch, forks,
-                                   assert_no_children, config):
-        parent, calls = os.getpid(), []
+    def fail_draws(self, monkeypatch, window):
+        """Make the helper's draws for ``window`` raise, in the helper only."""
+        parent = os.getpid()
         real_slab_draws = harness._slab_draws
 
         def slab_draws(seed, *args):
-            if os.getpid() != parent:
-                calls.append(seed)  # the child's copy of the list
-                if len(calls) == 3:
-                    raise RuntimeError("draws failed")
+            if os.getpid() != parent and seed == harness._window_seed(0, window):
+                raise RuntimeError("draws failed")
             return real_slab_draws(seed, *args)
 
         monkeypatch.setattr(harness, "_slab_draws", slab_draws)
+
+    def test_child_failure_exits_4(self, tmp_path, monkeypatch, forks,
+                                   assert_no_children, config):
+        # window 3 is sampled; the helper fails only after reading window
+        # 2's header, so window 2 cannot be the one named
+        self.fail_draws(monkeypatch, 3)
         code, err = self.simulate(config("sgld.K_iters = 1100\n"), tmp_path / "out")
         assert code == 4
-        assert err.startswith("I/O error: ") and err.rstrip().endswith(" window 2")
+        assert err.startswith("I/O error: ") and err.rstrip().endswith(" window 3")
+        assert forks.count("_prefetched_blocks") == 1
+        assert_no_children()
+
+    def test_child_failure_in_skipped_window_exits_4(self, tmp_path, monkeypatch,
+                                                     forks, assert_no_children,
+                                                     config):
+        # window 2 is not sampled, so nothing waits on the helper there: its
+        # end shows when window 2's header or window 3's inputs are sent
+        self.fail_draws(monkeypatch, 2)
+        code, err = self.simulate(config("sgld.K_iters = 1100\n"), tmp_path / "out")
+        assert code == 4
+        assert err.startswith("I/O error: ")
+        assert err.rstrip().endswith((" window 2", " window 3"))
         assert forks.count("_prefetched_blocks") == 1
         assert_no_children()
 
