@@ -104,6 +104,10 @@ class GaussianPrior:
     def __post_init__(self):
         if not self.variance > 0:
             raise ValueError("prior variance must be positive")
+        if self.variance == math.inf:
+            raise ValueError("prior variance must be finite")
+        if not all(map(math.isfinite, self.mean)):
+            raise ValueError("prior mean must be finite")
 
     def log_density(self, theta) -> float:
         d = np.asarray(theta, dtype=float) - np.asarray(self.mean)
@@ -363,10 +367,13 @@ def sgld_run(
     ``fill(None)`` is called once instead, so the maker can drop it.  A
     chain that leaves the positive floats raises ``ValueError``.
     """
+    free_T = fix_lag is None
+    if not (free_T or 0 < fix_lag < math.inf):
+        raise ValueError("fix_lag must be positive and finite")
     # checked on a window that is not sampled too, so that overflowing
     # observations are an error whatever their excitation
     products = _scaled_products(batch, hyper) if fill is None else None
-    if fix_lag is None and not _identifiability(batch):
+    if free_T and not _identifiability(batch):
         if fill is not None:
             fill(None)
         return _prior_estimate(prior)
@@ -381,12 +388,7 @@ def sgld_run(
     m_K, m_T = (float(m) for m in prior.mean)
     var = prior.variance
     K = m_K if m_K > 0 else 1.0
-    T = m_T if m_T > 0 else 0.3
-    if fix_lag is not None:
-        if fix_lag <= 0:
-            raise ValueError("fix_lag must be positive")
-        T = float(fix_lag)
-    free_T = fix_lag is None
+    T = (m_T if m_T > 0 else 0.3) if free_T else float(fix_lag)
     phi_K, phi_T = math.log(K), math.log(T)
 
     burn, max_drift = hyper.burn_in_c, hyper.max_drift

@@ -314,7 +314,16 @@ def _forked(work):
     None when the fork fails (e.g. at a process limit), so the caller does
     the work itself.  A child not yet reaped when the block ends, normally
     or by an exception, is killed and reaped.
+
+    Where this thread may run on two or more CPUs and the platform lets
+    them be chosen, the child keeps to all of them but the lowest and this
+    thread to the lowest; when the block ends, however it ends, this
+    thread's CPU set is restored.  Each pipe write wakes the reader as a
+    process the writer is about to wait for, so the scheduler tends to run
+    both on the writer's CPU, one preempting the other while a CPU idles.
     """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    own = {min(cpus)} if len(cpus) >= 2 else None
     try:
         pid = os.fork()
     except OSError:
@@ -325,6 +334,9 @@ def _forked(work):
         # whose worker threads it would lack
         status = 1
         try:
+            if own:
+                with contextlib.suppress(OSError):  # e.g. a CPU taken away
+                    os.sched_setaffinity(0, cpus - own)
             work()
             status = 0
         finally:
@@ -338,11 +350,17 @@ def _forked(work):
         return os.waitstatus_to_exitcode(status)
 
     try:
+        if own:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, own)
         yield wait
     finally:
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if own:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
 
 
 # bytes the block pipe asks for: a default window's blocks (16 of 8 x 256
@@ -380,9 +398,7 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     taken in order, a sampled one read to its end.  Yields None, and each
     chain makes its own inputs, when there is no window or `_can_offload`
     is false, or the fork fails.  A helper that ends early makes the send
-    or the read raise ``OSError`` naming the window.  Where this thread may
-    run on two or more CPUs, it keeps to the lowest of them until the block
-    ends, and the helper to the others.
+    or the read raise ``OSError`` naming the window.
     """
     if not (seeds and _can_offload()):
         yield None
@@ -390,22 +406,12 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
     import fcntl  # POSIX, as fork is
 
     k = min(hyper.minibatch_n, n)
-    # Each pipe write wakes the other process as one that the writer is about
-    # to wait for, so the scheduler tends to run both on the writer's CPU,
-    # one preempting the other while a CPU idles.  Where the CPUs can be
-    # chosen, the calling thread keeps to one of them while the helper runs
-    # and the helper to the rest.
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    own = {min(cpus)} if len(cpus) >= 2 else None
 
     def produce():
         import select
         # the parent's ends: the writes fail, not block, once it is gone
         from_helper.close()
         to_helper.close()
-        if own:
-            with contextlib.suppress(OSError):  # e.g. a CPU taken away meanwhile
-                os.sched_setaffinity(0, cpus - own)
         # products_in is unbuffered, so a poll sees every byte not yet read
         poll = select.poll()
         poll.register(products_in, select.POLLIN)
@@ -465,18 +471,9 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
             with contextlib.suppress(AttributeError, OSError):
                 fcntl.fcntl(blocks_write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
             forked = stack.enter_context(_forked(produce))
-            if forked is not None and own:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, own)
-                    stack.callback(_restore_affinity, cpus)
         # the helper's ends are closed here, so its exit reads as EOF and
         # makes a send fail
         yield None if forked is None else window_fill
-
-
-def _restore_affinity(cpus) -> None:
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
 
 
 def run_closed_loop(scenario: ScenarioConfig) -> RunReport:

@@ -30,6 +30,23 @@ def forks(monkeypatch):
     return calls
 
 
+# this thread's CPU set as the tests start
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@pytest.fixture(autouse=True)
+def cpus_kept():
+    """Every test, with the fixtures it sets up (a module's, too), leaves
+    this thread's CPU set as the tests started with it.  A set left changed
+    is put back, so the tests after the one that changed it still run, and
+    check, on the whole set."""
+    yield
+    if CPUS is not None:
+        after = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, CPUS)
+        assert after == CPUS
+
+
 @pytest.fixture
 def assert_no_children():
     """A check that this process has no child left, running or unreaped."""

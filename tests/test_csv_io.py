@@ -261,6 +261,26 @@ class TestSplitWriter:
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_caller_cpu_set_unchanged(self, tmp_path, monkeypatch, forks):
+        # while the child formats the second half, this thread keeps to the
+        # lowest of its CPUs (where it has two or more); then its set is back
+        cpus = os.sched_getaffinity(0)
+        during = []  # only this process's calls land here
+        real_format = harness._format_blocks
+
+        def format_blocks(*args):
+            during.append(os.sched_getaffinity(0))
+            real_format(*args)
+
+        monkeypatch.setattr(harness, "_format_blocks", format_blocks)
+        column = np.arange(3 * BLOCK, dtype=float)
+        harness.write_csv_columns([(tmp_path / "x.csv", ["x"], [column])])
+        assert forks == ["write_csv_columns"]
+        assert during == [{min(cpus)} if len(cpus) >= 2 else cpus]
+        assert os.sched_getaffinity(0) == cpus
+
     def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks,
                                         assert_no_children):
         make_repr_fail(monkeypatch, in_child=False)

@@ -538,8 +538,9 @@ class TestSgldRun:
         batch = synthetic_batch(1.0, 0.3, n=200, seed=8)
         est = sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=8), fix_lag=0.3)
         assert np.all(est.samples[:, 1] == 0.3)
-        with pytest.raises(ValueError, match="fix_lag must be positive"):
-            sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=8), fix_lag=0.0)
+        for lag in [0.0, float("nan"), float("inf")]:
+            with pytest.raises(ValueError, match="fix_lag must be positive and finite"):
+                sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=8), fix_lag=lag)
 
 
 class TestPosteriorSummary:
@@ -608,6 +609,19 @@ class TestGaussianPrior:
     def test_non_positive_variance_rejected(self, variance):
         with pytest.raises(ValueError, match="^prior variance must be positive$"):
             GaussianPrior((1.0, 0.3), variance)
+
+    # a NaN mean ended the chain as "SGLD chain diverged" and put NaN in an
+    # unsampled window's estimate; an infinite variance made that estimate's
+    # covariance inf x 0 (a RuntimeWarning, NaN entries and infinite bounds)
+    @pytest.mark.parametrize("mean, variance, message", [
+        ((float("nan"), 0.3), 10.0, "mean"),
+        ((1.0, float("inf")), 10.0, "mean"),
+        ((1.0, -float("inf")), 10.0, "mean"),
+        ((1.0, 0.3), float("inf"), "variance"),
+    ])
+    def test_non_finite_rejected(self, mean, variance, message):
+        with pytest.raises(ValueError, match=f"^prior {message} must be finite$"):
+            GaussianPrior(mean, variance)
 
 
 class TestUpdatePrior:

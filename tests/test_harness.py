@@ -351,6 +351,49 @@ class TestRunClosedLoop:
         assert gap < gap_target[i] - 1.0
 
 
+class TestForked:
+    """Where `_forked` runs its child and the calling thread: the child on
+    all of the caller's CPUs but the lowest, the caller on the lowest until
+    the block ends, and then the caller's set restored."""
+
+    @pytest.fixture
+    def cpus(self):
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+        if len(cpus) < 2:
+            pytest.skip("needs two or more usable CPUs")
+        return cpus
+
+    def test_child_and_caller_split_cpus(self, cpus, assert_no_children):
+        read_end, write_end = os.pipe()
+
+        def work():
+            os.write(write_end, json.dumps(sorted(os.sched_getaffinity(0))).encode())
+
+        with open(read_end, "rb") as reports:
+            with harness._forked(work) as wait:
+                assert os.sched_getaffinity(0) == {min(cpus)}
+                assert wait() == 0
+                os.close(write_end)
+                assert set(json.loads(reports.read())) == cpus - {min(cpus)}
+        assert os.sched_getaffinity(0) == cpus
+        assert_no_children()
+
+    @pytest.mark.parametrize("end", ["exception", "child_raises"])
+    def test_cpu_set_restored(self, cpus, assert_no_children, end):
+        def work():
+            if end == "child_raises":
+                raise RuntimeError("work failed")
+
+        with contextlib.suppress(KeyError):
+            with harness._forked(work) as wait:
+                assert os.sched_getaffinity(0) == {min(cpus)}
+                if end == "exception":
+                    raise KeyError("the block failed")
+                assert wait() == 1
+        assert os.sched_getaffinity(0) == cpus
+        assert_no_children()
+
+
 class TestPrefetchedDraws:
     """The closed loop's SGLD chain inputs, made by a forked helper, against
     the inputs each chain makes in-process."""
