@@ -145,8 +145,10 @@ class SgldHyper:
                                _DefaultBurnIn(int(0.6 * self.K_iters)))
         if not self.eta_1 > 0:
             raise ValueError("eta_1 must be positive")
-        if not 0 < self.burn_in_c < self.K_iters:
-            raise ValueError("burn_in_c must lie strictly inside (0, K_iters)")
+        if not 0 < self.burn_in_c <= self.K_iters - 2:
+            raise ValueError("sgld.burn_in_c (by default 60 % of sgld.K_iters) "
+                             "must lie in [1, sgld.K_iters - 2], so that the "
+                             "chain keeps at least 2 samples")
         if self.minibatch_n < 1:
             raise ValueError("minibatch_n must be at least 1")
         if not self.sigma_sq > 0:
@@ -242,17 +244,18 @@ def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
     return draws
 
 
-def _slab_draws(seed: int, n: int, k: int, K_iters: int):
-    """The batch-independent draws of one chain, per ``_SLAB`` of
-    iterations: the slab's first iteration, the ``(k, m)`` minibatch
-    indices into ``range(n)`` (None when ``k`` covers the batch) and the
-    ``(m, 2)`` standard normals.
+def _slab_draws(n: int, hyper: SgldHyper):
+    """The batch-independent draws of ``hyper``'s chain on ``n`` samples,
+    per ``_SLAB`` of iterations: the slab's first iteration, the ``(k, m)``
+    minibatch indices into ``range(n)`` (None when the minibatch size ``k``
+    covers the batch) and the ``(m, 2)`` standard normals.
 
     Each ``_BLOCK`` draws its (k, m) uniforms, unless ``k`` covers the
     batch, and then its (m, 2) normals; the uniforms of a slab are turned
     into indices in one pass.
     """
-    rng = np.random.default_rng(seed)
+    k, K_iters = min(hyper.minibatch_n, n), hyper.K_iters
+    rng = np.random.default_rng(hyper.seed)
     for slab in range(0, K_iters, _SLAB):
         end = min(slab + _SLAB, K_iters)
         uniforms = np.empty((k, end - slab)) if k < n else None
@@ -280,9 +283,9 @@ def _scaled_products(batch: ObservationBatch, hyper: SgldHyper) -> np.ndarray:
     return products
 
 
-def _block_inputs(products: np.ndarray, slabs, eta_1: float):
+def _block_inputs(products: np.ndarray, slabs, hyper: SgldHyper):
     """Per ``_BLOCK`` of iterations: the first iteration's index and an
-    ``(8, m)`` float64 array of the chain's inputs, one column per
+    ``(8, m)`` float64 array of ``hyper``'s chain inputs, one column per
     iteration: the half step size ``eta/2``, the five minibatch sums of
     ``products`` and the two scaled Langevin noises.
 
@@ -295,7 +298,7 @@ def _block_inputs(products: np.ndarray, slabs, eta_1: float):
         end = slab + len(normals)
         for start in range(slab, end, _BLOCK):
             stop = min(start + _BLOCK, end)
-            etas = eta_1 / np.arange(start + 1, stop + 1)
+            etas = hyper.eta_1 / np.arange(start + 1, stop + 1)
             block = np.empty((_BLOCK_ROWS, stop - start))
             block[0] = 0.5 * etas
             if draws is None:
@@ -360,29 +363,28 @@ def sgld_run(
     Minibatch gradients come from sums of `_scaled_products`; indices and
     noise are drawn ``_BLOCK`` iterations at a time, index collisions are
     resolved ``_SLAB`` iterations at a time, and the chain itself steps on
-    plain floats.  ``fill``, when given, supplies the chain's inputs made
-    ahead (for example in another process): ``fill(block)`` fills each
-    empty ``(8, m)`` float64 block, in iteration order, as `_block_inputs`
-    would for this batch and ``hyper``; for a window that is not sampled,
-    ``fill(None)`` is called once instead, so the maker can drop it.  A
-    chain that leaves the positive floats raises ``ValueError``.
+    plain floats.  ``fill``, when given, has the chain's inputs made ahead
+    (for example in another process) from ``_block_inputs(products,
+    _slab_draws(len(batch), hyper), hyper)``: its first call gets the
+    window's `_scaled_products`, and each later ``fill(block)`` fills an
+    empty ``(8, m)`` float64 block, in iteration order; for a window that
+    is not sampled, ``fill(None)`` is its only call, so the maker can drop
+    it.  A chain that leaves the positive floats raises ``ValueError``.
     """
     free_T = fix_lag is None
     if not (free_T or 0 < fix_lag < math.inf):
         raise ValueError("fix_lag must be positive and finite")
     # checked on a window that is not sampled too, so that overflowing
     # observations are an error whatever their excitation
-    products = _scaled_products(batch, hyper) if fill is None else None
+    products = _scaled_products(batch, hyper)
     if free_T and not _identifiability(batch):
         if fill is not None:
             fill(None)
         return _prior_estimate(prior)
     if fill is None:
-        n_total = len(batch)
-        blocks = _block_inputs(products, _slab_draws(
-            hyper.seed, n_total, min(hyper.minibatch_n, n_total), hyper.K_iters),
-            hyper.eta_1)
+        blocks = _block_inputs(products, _slab_draws(len(batch), hyper), hyper)
     else:
+        fill(products)
         blocks = _filled_blocks(fill, hyper.K_iters)
 
     m_K, m_T = (float(m) for m in prior.mean)

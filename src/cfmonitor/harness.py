@@ -25,7 +25,6 @@ from .estimator import (
     PosteriorEstimate,
     SgldHyper,
     _block_inputs,
-    _scaled_products,
     _slab_draws,
     batch_from_series,
     sgld_run,
@@ -375,37 +374,33 @@ _SKIP, _SAMPLE = b"\0", b"\1"
 
 
 @contextlib.contextmanager
-def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
+def _prefetched_blocks(hypers, n: int):
     """While the block runs, a forked helper makes the SGLD chain inputs of
-    every sampled window, in window order.
+    every sampled window, in window order: window ``w``'s are
+    `_block_inputs` of its products and of `_slab_draws` for ``n`` samples
+    and ``hypers[w]``.
 
-    For each window ``w`` the helper reads a one-byte header from one pipe:
-    ``_SKIP`` when `sgld_run` does not sample the window, or ``_SAMPLE``
-    followed by the window's ``(n, 5)`` `_scaled_products`; for a sampled
-    window it writes the `_block_inputs` as raw float64 bytes to another
-    pipe.  Until the header comes, the helper makes the window's draws
-    (`_slab_draws` with seed ``seeds[w]``, ``n`` samples and ``hyper``'s
-    minibatch size and iterations) ahead, a slab at a time, and drops them
-    on ``_SKIP``; a window whose header has already come is drawn only if
-    sampled.  The block pipe's capacity bounds how far ahead the helper
+    For each window the helper reads a one-byte header from one pipe:
+    ``_SKIP`` for a window that is not sampled, or ``_SAMPLE`` followed by
+    the window's ``(n, 5)`` products; for a sampled window it writes the
+    blocks as raw float64 bytes to another pipe.  Until the header comes,
+    the helper draws ahead, a slab at a time, and drops the draws on
+    ``_SKIP``.  The block pipe's capacity bounds how far ahead the helper
     runs; it asks for ``_PIPE_BYTES`` where the platform can set it, and a
     refusal keeps the default size.
 
-    Yields ``window_fill(w, batch)``, which computes window ``w``'s
-    products (raising ``ValueError`` where they overflow) and returns the
-    ``fill`` for `sgld_run`: its first call sends the header (``_SKIP`` on
-    ``fill(None)``), and each ``fill(block)`` reads a block.  Windows are
-    taken in order, a sampled one read to its end.  Yields None, and each
-    chain makes its own inputs, when there is no window or `_can_offload`
-    is false, or the fork fails.  A helper that ends early makes the send
-    or the read raise ``OSError`` naming the window.
+    Yields ``window_fill(w)``, the ``fill`` for window ``w``'s `sgld_run`:
+    its first call sends the header, with the products it is given, and
+    each later ``fill(block)`` reads a block.  Windows are taken in order,
+    a sampled one read to its end.  Yields None, and each chain makes its
+    own inputs, when there is no window or `_can_offload` is false, or the
+    fork fails.  A helper that ends early makes the send or the read raise
+    ``OSError`` naming the window.
     """
-    if not (seeds and _can_offload()):
+    if not (hypers and _can_offload()):
         yield None
         return
     import fcntl  # POSIX, as fork is
-
-    k = min(hyper.minibatch_n, n)
 
     def produce():
         import select
@@ -416,9 +411,9 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
         poll = select.poll()
         poll.register(products_in, select.POLLIN)
         products = np.empty((n, 5))
-        for seed in seeds:
+        for hyper in hypers:
             # draw ahead, a slab at a time, until the window's header comes
-            draws, slabs = _slab_draws(seed, n, k, hyper.K_iters), []
+            draws, slabs = _slab_draws(n, hyper), []
             while not poll.poll(0) and (slab := next(draws, None)) is not None:
                 slabs.append(slab)
             header = products_in.read(1)
@@ -433,7 +428,7 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
                 if not got:
                     return
                 view = view[got:]
-            for _, block in _block_inputs(products, slabs, hyper.eta_1):
+            for _, block in _block_inputs(products, slabs, hyper):
                 blocks_out.write(block)
             blocks_out.flush()
 
@@ -441,20 +436,21 @@ def _prefetched_blocks(seeds, n: int, hyper: SgldHyper):
         return OSError("the process making SGLD inputs ahead ended before "
                        f"the inputs of window {w}")
 
-    def window_fill(w, batch):
-        message = _SAMPLE + _scaled_products(batch, hyper).tobytes()
+    def window_fill(w):
+        sent = False
 
-        def fill(block):
-            nonlocal message
-            if message:  # the first call sends the window's header
-                view = memoryview(_SKIP if block is None else message)
-                message = b""
+        def fill(array):
+            nonlocal sent
+            if not sent:  # the header, and a sampled window's products
+                sent = True
+                view = memoryview(_SKIP if array is None
+                                  else _SAMPLE + array.tobytes())
                 try:
                     while view:
                         view = view[to_helper.write(view):]
                 except BrokenPipeError:
                     raise ended(w) from None
-            if block is not None and from_helper.readinto(block) != block.nbytes:
+            elif from_helper.readinto(array) != array.nbytes:
                 raise ended(w)
         return fill
 
@@ -505,8 +501,9 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     collision_time = None
     start = 0
     w = 0
-    seeds = [_window_seed(scenario.seed, i) for i in range(n_windows)]
-    with _prefetched_blocks(seeds, win_steps, scenario.sgld) as window_fill:
+    hypers = [replace(scenario.sgld, seed=_window_seed(scenario.seed, i))
+              for i in range(n_windows)]
+    with _prefetched_blocks(hypers, win_steps) as window_fill:
         while start < n:
             stop = min(start + win_steps, n)
             active_cfg = (cfg if tau_active == cfg.tau_star
@@ -523,13 +520,12 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
                 break
             ego = piece.final_state
             if w < n_windows:
-                hyper = replace(scenario.sgld, seed=seeds[w])
                 batch = batch_from_series(
                     piece.accel, piece.demanded_accel, cfg.t_s,
                     t_start=float(piece.time[0]),
                 )
-                estimate = sgld_run(batch, prior, hyper, fill=(
-                    None if window_fill is None else window_fill(w, batch)))
+                estimate = sgld_run(batch, prior, hypers[w], fill=(
+                    None if window_fill is None else window_fill(w)))
                 decision = monitor.evaluate(estimate, cfg, scenario.policy)
                 applied = False
                 if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:
@@ -570,8 +566,6 @@ def _first_switch(schedule: list[tuple[float, PlantParams]]) -> float | None:
 
 
 def _accel_rms(follower: plant.SimulationResult, switch_time: float | None) -> float:
-    if len(follower) == 0:
-        return 0.0
     accel = follower.accel
     if switch_time is not None:
         accel = accel[follower.time >= switch_time]
@@ -762,10 +756,11 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
                 "collision_time": report.collision_time,
                 "post_switch_accel_rms": report.post_switch_accel_rms,
                 "max_abs_jerk": report.max_abs_jerk,
-                "min_gap": report.min_gap,
+                # inf when the run has no follower sample
+                "min_gap": report.min_gap if math.isfinite(report.min_gap) else None,
                 "anomalies": [rec.t_end for rec in report.windows
                               if rec.decision.anomaly],
-            }, fh, indent=2)
+            }, fh, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out_dir}: {exc}") from exc

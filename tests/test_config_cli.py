@@ -70,6 +70,9 @@ def strict_json(text):
 
 
 DIVERGING = ("sgld.eta_1 = 1e6", "sgld.max_drift = 1e6")
+# these used to run to the first sampled window and end there with "need at
+# least 2 samples", naming no key
+ONE_SAMPLE_CHAINS = ("sgld.K_iters = 2", "sgld.K_iters = 100\nsgld.burn_in_c = 99")
 
 
 def stability_exit_code(cfg, values):
@@ -190,6 +193,9 @@ class TestConfigHoles:
         ("prior.variance = false", "prior.variance: expected a finite number"),
         # the closed loop smooths only a positive width, so this is checked first
         ("leader.smoothing_width = -1", "smoothing_width must be non-negative"),
+        # chains that keep 1 sample, with the default burn-in and a given one
+        *((line, "sgld.burn_in_c (by default 60 % of sgld.K_iters) must lie in "
+                 "[1, sgld.K_iters - 2]") for line in ONE_SAMPLE_CHAINS),
     ])
     def test_rejected_with_exit_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "scenario.cfg"
@@ -601,6 +607,32 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: not enough memory: ") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ONE_SAMPLE_CHAINS)
+    def test_one_sample_chain_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "must lie in [1, sgld.K_iters - 2]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_first_step_collision_writes_strict_summary(self, tmp_path):
+        # a stopped leader and no standstill gap: the follower starts
+        # touching it, so the run keeps no follower sample and min_gap is inf
+        leader = tmp_path / "leader.csv"
+        leader.write_text("time,position,speed,accel\n" + "".join(
+            f"{i / 100:.2f},0,0,0\n" for i in range(1001)))
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"leader.source = {leader}\ncontroller.delta_star = 0\n"
+                       "plant.switch_time = null\n")
+        code, err = run_cli(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "run")])
+        assert (code, err) == (3, "")
+        summary = strict_json((tmp_path / "run" / "summary.json").read_text())
+        assert summary["samples"] == 0 and summary["collision_time"] == 0.0
+        assert summary["post_switch_accel_rms"] == 0.0
+        assert summary["min_gap"] is None
 
     def test_collision_exit_code(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

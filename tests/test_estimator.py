@@ -350,6 +350,9 @@ class TestSgldHyper:
         {"eta_1": float("nan")},
         {"sigma_sq": float("nan")},
         {"max_drift": float("nan")},
+        # chains that keep 1 sample, which no posterior summary takes
+        {"K_iters": 2},
+        {"K_iters": 100, "burn_in_c": 99},
     ])
     def test_invalid_hyper_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -488,20 +491,23 @@ class TestSgldRun:
         batch = synthetic_batch(1.0, 0.3, n=n, seed=n)
         hyper = SgldHyper(K_iters=K_iters, minibatch_n=minibatch_n, seed=K_iters)
         # made by the closed loop's forked helper, as the chain reads them
-        blocks = []
-        with harness._prefetched_blocks([hyper.seed], n, hyper) as window_fill:
-            helper_fill = window_fill(0, batch)
+        shapes, blocks = [], []
+        with harness._prefetched_blocks([hyper], n) as window_fill:
+            helper_fill = window_fill(0)
 
-            def fill(block):
-                helper_fill(block)
-                blocks.append(block.copy())
+            def fill(array):
+                helper_fill(array)
+                # the first call hands over the products; each later one a block
+                if shapes:
+                    blocks.append(array.copy())
+                shapes.append(array.shape)
 
             est = sgld_run(batch, WIDE_PRIOR, hyper, fix_lag, fill=fill)
+        assert shapes[0] == (n, 5)
         assert forks == ["_prefetched_blocks"]
         assert_no_children()
         in_process = [block for _, block in _block_inputs(
-            _scaled_products(batch, hyper),
-            _slab_draws(hyper.seed, n, min(minibatch_n, n), K_iters), hyper.eta_1)]
+            _scaled_products(batch, hyper), _slab_draws(n, hyper), hyper)]
         assert len(blocks) == len(in_process)
         for got, want in zip(blocks, in_process):
             assert got.dtype == want.dtype and got.shape == want.shape

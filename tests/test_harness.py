@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfmonitor import harness, plant
+from cfmonitor import estimator, harness, plant
 from cfmonitor.cli import main
 from cfmonitor.estimator import SgldHyper
 from cfmonitor.harness import (
@@ -428,6 +428,14 @@ class TestPrefetchedDraws:
             assert os.sched_getaffinity(0) == cpus
         return code, err.getvalue()
 
+    @staticmethod
+    def assert_same_artifacts(a, b):
+        """Both run directories hold the seven artifacts, byte for byte alike."""
+        names = sorted(os.listdir(a))
+        assert len(names) == 7 and names == sorted(os.listdir(b))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n",
                                       "sgld.K_iters = 300\nsgld.minibatch_n = 200\n"])
     @pytest.mark.parametrize("no_prefetch", ["one_cpu", "no_fork", "fork_fails"])
@@ -450,11 +458,22 @@ class TestPrefetchedDraws:
             monkeypatch.setattr(os, "fork", fork)
         assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
         assert forks.count("_prefetched_blocks") == 1
-        names = sorted(os.listdir(tmp_path / "prefetch"))
-        assert names == sorted(os.listdir(tmp_path / "in_process"))
-        for name in names:
-            assert ((tmp_path / "prefetch" / name).read_bytes()
-                    == (tmp_path / "in_process" / name).read_bytes()), name
+        self.assert_same_artifacts(tmp_path / "prefetch", tmp_path / "in_process")
+        assert_no_children()
+
+    def test_helper_gets_the_estimators_products(self, tmp_path, monkeypatch,
+                                                 forks, assert_no_children, config):
+        # the products are made in one place, which `sgld_run` reads: halved
+        # there, they reach the helper's chains and the in-process ones alike
+        real_products = estimator._scaled_products
+        monkeypatch.setattr(estimator, "_scaled_products",
+                            lambda batch, hyper: real_products(batch, hyper) / 2)
+        cfg = config("sgld.K_iters = 1100\n")
+        assert self.simulate(cfg, tmp_path / "prefetch") == (0, "")
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
+        assert forks.count("_prefetched_blocks") == 1
+        self.assert_same_artifacts(tmp_path / "prefetch", tmp_path / "in_process")
         assert_no_children()
 
     @pytest.mark.parametrize("platform", ["refused", "no_constant"])
@@ -479,11 +498,7 @@ class TestPrefetchedDraws:
         assert forks.count("_prefetched_blocks") == 2
         if platform == "refused" and hasattr(fcntl, "F_SETPIPE_SZ"):
             assert refused
-        names = sorted(os.listdir(tmp_path / "asked"))
-        assert len(names) == 7 and names == sorted(os.listdir(tmp_path / "default"))
-        for name in names:
-            assert ((tmp_path / "asked" / name).read_bytes()
-                    == (tmp_path / "default" / name).read_bytes()), name
+        self.assert_same_artifacts(tmp_path / "asked", tmp_path / "default")
         assert_no_children()
 
     def fail_draws(self, monkeypatch, window):
@@ -491,10 +506,10 @@ class TestPrefetchedDraws:
         parent = os.getpid()
         real_slab_draws = harness._slab_draws
 
-        def slab_draws(seed, *args):
-            if os.getpid() != parent and seed == harness._window_seed(0, window):
+        def slab_draws(n, hyper):
+            if os.getpid() != parent and hyper.seed == harness._window_seed(0, window):
                 raise RuntimeError("draws failed")
-            return real_slab_draws(seed, *args)
+            return real_slab_draws(n, hyper)
 
         monkeypatch.setattr(harness, "_slab_draws", slab_draws)
 
@@ -582,3 +597,9 @@ class TestEmitOutputs:
             rows = list(csv.reader(fh))
         assert len(rows) == 1
         assert (tmp_path / "estimates.jsonl").read_text() == ""
+
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON token {name}")
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=no_constant)
+        assert summary["min_gap"] is None
