@@ -119,15 +119,10 @@ class GaussianPrior:
         return -d / self.variance
 
 
-class _DefaultBurnIn(int):
-    """A burn-in derived from ``K_iters`` rather than given, so that
-    ``dataclasses.replace(hyper, K_iters=...)`` derives it again."""
-
-
 @dataclass(frozen=True)
 class SgldHyper:
     """Sampler settings.  Step size decays as eta_1/k; iterates after
-    ``burn_in_c`` are retained as posterior samples.  ``max_drift`` caps
+    ``burn_in`` are retained as posterior samples.  ``max_drift`` caps
     the per-iteration drift step in log-parameter space so early
     iterations with large step sizes cannot diverge."""
 
@@ -140,12 +135,9 @@ class SgldHyper:
     max_drift: float = 0.1
 
     def __post_init__(self):
-        if self.burn_in_c is None or isinstance(self.burn_in_c, _DefaultBurnIn):
-            object.__setattr__(self, "burn_in_c",
-                               _DefaultBurnIn(int(0.6 * self.K_iters)))
         if not self.eta_1 > 0:
             raise ValueError("eta_1 must be positive")
-        if not 0 < self.burn_in_c <= self.K_iters - 2:
+        if not 0 < self.burn_in <= self.K_iters - 2:
             raise ValueError("sgld.burn_in_c (by default 60 % of sgld.K_iters) "
                              "must lie in [1, sgld.K_iters - 2], so that the "
                              "chain keeps at least 2 samples")
@@ -155,6 +147,12 @@ class SgldHyper:
             raise ValueError("sigma_sq must be positive")
         if not self.max_drift > 0:
             raise ValueError("max_drift must be positive")
+
+    @property
+    def burn_in(self) -> int:
+        """``burn_in_c``, or 60 % of ``K_iters`` when it is None."""
+        given = self.burn_in_c
+        return int(0.6 * self.K_iters) if given is None else given
 
 
 @dataclass
@@ -393,7 +391,7 @@ def sgld_run(
     T = (m_T if m_T > 0 else 0.3) if free_T else float(fix_lag)
     phi_K, phi_T = math.log(K), math.log(T)
 
-    burn, max_drift = hyper.burn_in_c, hyper.max_drift
+    burn, max_drift = hyper.burn_in, hyper.max_drift
     samples = np.empty((hyper.K_iters - burn, 2))
     exp, hypot = math.exp, math.hypot
     try:

@@ -70,7 +70,6 @@ class LeaderSegment:
 class SyntheticLeaderSpec:
     segments: tuple[LeaderSegment, ...]
     v0: float = 20.0
-    x0: float = 0.0
 
 
 @dataclass
@@ -195,11 +194,14 @@ def read_csv_columns(path, columns) -> np.ndarray:
 
 def load_leader(path) -> Trajectory:
     """Read and validate a leader trajectory CSV (uniform sampling,
-    columns time,position,speed,accel)."""
+    non-negative speed, columns time,position,speed,accel)."""
     data = read_csv_columns(path, LEADER_COLUMNS)
     if len(data) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     plant.sampling_step(data[:, 0], path=path)
+    negative = np.flatnonzero(data[:, 2] < 0)  # row 1 is the header
+    if len(negative):
+        raise ValueError(f"{path}: negative speed in row {negative[0] + 2}")
     return Trajectory(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
@@ -247,8 +249,8 @@ def synthetic_leader(spec: SyntheticLeaderSpec,
     sampled every ``t_s`` seconds."""
     if not spec.segments or sum(s.duration for s in spec.segments) <= 0:
         raise ValueError("leader spec has zero total duration")
-    # breakpoints and exact (v, x) at each segment start
-    v, x = spec.v0, spec.x0
+    # breakpoints and exact (v, x) at each segment start; x starts at 0 m
+    v, x = spec.v0, 0.0
     starts = [0.0]
     states = [(v, x)]
     for seg in spec.segments:

@@ -55,16 +55,18 @@ def _square(x):
         return math.inf
 
 
-def _margin_arrays(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
+def _margin_arrays(k_s, k_v, k_a, tau, t_hi, k_lo, k_hi):
     """All 8 margins, vectorized over the gain/time-gap arguments.  Finite
-    input that overflows gives inf or NaN margins, never an exception."""
+    input that overflows gives inf or NaN margins, never an exception.
+    Margins 4 and 5, the product condition, fall as the lag grows and are
+    monotone in 1/K: they bind at (k_lo, t_hi) and (k_hi, t_hi)."""
     combo = k_s * tau + k_v
     local = [
         1.0 - k_hi * k_a,
         combo,
         k_s,
         (1.0 / k_lo - k_a) * combo - (t_hi / k_lo) * k_s,
-        (1.0 / k_hi - k_a) * combo - (t_lo / k_hi) * k_s,
+        (1.0 / k_hi - k_a) * combo - (t_hi / k_hi) * k_s,
     ]
     string = [
         _square(k_hi * k_a - 1.0) - 2.0 * t_hi * k_hi * combo,
@@ -79,8 +81,7 @@ def assess(cfg: ControllerConfig) -> StabilityVerdict:
     verdicts.  Margins are strict: zero or NaN counts as not satisfied."""
     local, string = _margin_arrays(
         cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
-        cfg.T_L_bounds[0], cfg.T_L_bounds[1],
-        cfg.K_L_bounds[0], cfg.K_L_bounds[1],
+        cfg.T_L_bounds[1], cfg.K_L_bounds[0], cfg.K_L_bounds[1],
     )
     local = tuple(float(m) for m in local)
     string = tuple(float(m) for m in string)
@@ -92,19 +93,16 @@ def assess(cfg: ControllerConfig) -> StabilityVerdict:
 class RegionMap:
     """Verdicts over a 2-D parameter grid.
 
-    ``margins`` has shape (len(grid1), len(grid2), 8); ``valid`` marks
-    cells whose substituted configuration was evaluable (invalid cells
-    carry NaN margins and False verdicts instead of aborting the sweep).
+    ``margins`` has shape (len(grid1), len(grid2), 8).  A cell with
+    ``tau_star <= 0`` is not evaluable: it carries NaN margins and False
+    verdicts instead of aborting the sweep.
     """
 
-    param1: str
-    param2: str
     grid1: np.ndarray
     grid2: np.ndarray
     margins: np.ndarray
     locally_stable: np.ndarray
     string_stable: np.ndarray
-    valid: np.ndarray
 
     def stable_cell_count(self) -> int:
         """Cells that are both locally and string stable."""
@@ -150,8 +148,7 @@ def stability_region(
     with np.errstate(over="ignore", invalid="ignore"):
         local, string = _margin_arrays(
             vals["k_s"], vals["k_v"], vals["k_a"], vals["tau_star"],
-            fixed.T_L_bounds[0], fixed.T_L_bounds[1],
-            fixed.K_L_bounds[0], fixed.K_L_bounds[1],
+            fixed.T_L_bounds[1], fixed.K_L_bounds[0], fixed.K_L_bounds[1],
         )
     margins = np.stack(
         [np.broadcast_to(m, g1.shape) for m in local + string], axis=-1
@@ -160,6 +157,5 @@ def stability_region(
     with np.errstate(invalid="ignore"):
         ok_local = valid & np.all(margins[..., :N_LOCAL] > 0, axis=-1)
         ok_string = valid & np.all(margins[..., N_LOCAL:] > 0, axis=-1)
-    return RegionMap(param1, param2, grid1, grid2, margins,
-                     ok_local, ok_string, valid)
+    return RegionMap(grid1, grid2, margins, ok_local, ok_string)
 

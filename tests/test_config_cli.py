@@ -499,6 +499,23 @@ class TestCliSimulate:
         assert f"{path}: non-finite value in row 3001" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("row", [2, 102])
+    def test_negative_leader_speed_is_config_error(self, tmp_path, capsys, row):
+        # a 10 s leader at 20 m/s: a negative first speed used to fail in the
+        # follower's set-up naming neither file nor row, and one at row 102
+        # used to run to the end, flagging 5 anomalies in 5 windows
+        leader = synthetic_leader(SyntheticLeaderSpec(
+            segments=(LeaderSegment(10.0, 0.0),)))
+        leader.speed[row - 2] = -1.0
+        path = tmp_path / "leader.csv"
+        save_trajectory(leader, path)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"leader.source = {path}\nplant.switch_time = null\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"{path}: negative speed in row {row}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("line", DIVERGING)
     def test_diverging_chain_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "scenario.cfg"

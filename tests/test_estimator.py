@@ -80,7 +80,7 @@ def reference_steps(batch, prior, hyper, samples, fix_lag=None):
         z += list(rng.standard_normal((m, 2)))
     predicted = []
     for s, theta in enumerate(samples[:-1]):
-        t = hyper.burn_in_c + s + 1  # 0-based iteration that yields samples[s + 1]
+        t = hyper.burn_in + s + 1  # 0-based iteration that yields samples[s + 1]
         eta = hyper.eta_1 / (t + 1)
         mb = ObservationBatch(batch.accel[idx[t]], batch.demand[idx[t]],
                               batch.jerk[idx[t]])
@@ -141,7 +141,7 @@ def block_reference(batch, prior, hyper, fix_lag=None):
                 phi_T += d_T + z_T
                 T = math.exp(phi_T)
             chain.append((K, T))
-    return np.array(chain[hyper.burn_in_c:])
+    return np.array(chain[hyper.burn_in:])
 
 
 class TestObservationBatch:
@@ -359,13 +359,15 @@ class TestSgldHyper:
             SgldHyper(**kwargs)
 
     def test_default_burn_in_is_sixty_percent(self):
-        h = SgldHyper(K_iters=1000)
-        assert h.burn_in_c == 600
+        assert SgldHyper(K_iters=1000).burn_in == 600
+        # the default is derived, not stored in the caller's field
+        assert SgldHyper().burn_in_c is None
+        assert SgldHyper().burn_in == 2400
 
     def test_replace_rederives_default_burn_in(self):
-        assert replace(SgldHyper(), K_iters=1000).burn_in_c == 600
+        assert replace(SgldHyper(), K_iters=1000).burn_in == 600
         explicit = SgldHyper(K_iters=1000, burn_in_c=900)
-        assert replace(explicit, seed=3).burn_in_c == 900
+        assert replace(explicit, seed=3).burn_in == 900
         with pytest.raises(ValueError):
             replace(explicit, K_iters=500)
 

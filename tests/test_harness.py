@@ -64,7 +64,7 @@ def scalar_leader(spec):
     """`synthetic_leader` as it was written before it was vectorized, one
     sample at a time, at its default step: the reference for its bytes."""
     t_s = 0.01
-    v, x = spec.v0, spec.x0
+    v, x = spec.v0, 0.0
     starts = [0.0]
     states = [(v, x)]
     for seg in spec.segments:

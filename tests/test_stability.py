@@ -24,7 +24,7 @@ def config(**kwargs):
     return ControllerConfig(**base)
 
 
-def oracle_margins(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
+def oracle_margins(k_s, k_v, k_a, tau, t_hi, k_lo, k_hi):
     """Independent scalar evaluation of all eight conditions."""
     combo = k_s * tau + k_v
     local = (
@@ -32,7 +32,7 @@ def oracle_margins(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi):
         combo,
         k_s,
         (1 / k_lo - k_a) * combo - (t_hi / k_lo) * k_s,
-        (1 / k_hi - k_a) * combo - (t_lo / k_hi) * k_s,
+        (1 / k_hi - k_a) * combo - (t_hi / k_hi) * k_s,
     )
     string = (
         (k_hi * k_a - 1) ** 2 - 2 * t_hi * k_hi * combo,
@@ -87,6 +87,27 @@ bounded = st.floats(min_value=-3.0, max_value=3.0,
                     allow_nan=False, allow_infinity=False)
 
 
+def box(k_s, k_v, k_a, tau, t_lo, t_span, k_lo, k_span):
+    """The gains with lag bounds (t_lo, t_lo + t_span) and gain bounds
+    (k_lo, k_lo + k_span)."""
+    return ControllerConfig(
+        k_s=k_s, k_v=k_v, k_a=k_a, tau_star=tau,
+        T_L_bounds=(t_lo, t_lo + t_span), K_L_bounds=(k_lo, k_lo + k_span),
+        T_L_nominal=t_lo, K_L_nominal=k_lo,
+    )
+
+
+def cubic(cfg, K, T):
+    """T s^3 + (1 - K k_a) s^2 + K (k_s tau* + k_v) s + K k_s, the closed
+    loop's characteristic polynomial with plant gain K and lag T."""
+    return [T, 1 - K * cfg.k_a, K * (cfg.k_s * cfg.tau_star + cfg.k_v),
+            K * cfg.k_s]
+
+
+def corners(cfg):
+    return [(K, T) for K in cfg.K_L_bounds for T in cfg.T_L_bounds]
+
+
 class TestProperties:
     @given(k_s=bounded, k_v=bounded, k_a=bounded,
            tau=st.floats(0.1, 3.0), t_lo=st.floats(0.05, 1.0),
@@ -95,14 +116,10 @@ class TestProperties:
     @settings(max_examples=200)
     def test_margins_match_scalar_oracle(self, k_s, k_v, k_a, tau,
                                          t_lo, t_span, k_lo, k_span):
-        t_hi, k_hi = t_lo + t_span, k_lo + k_span
-        cfg = ControllerConfig(
-            k_s=k_s, k_v=k_v, k_a=k_a, tau_star=tau,
-            T_L_bounds=(t_lo, t_hi), K_L_bounds=(k_lo, k_hi),
-            T_L_nominal=t_lo, K_L_nominal=k_lo,
-        )
+        cfg = box(k_s, k_v, k_a, tau, t_lo, t_span, k_lo, k_span)
         verdict = assess(cfg)
-        local, string = oracle_margins(k_s, k_v, k_a, tau, t_lo, t_hi, k_lo, k_hi)
+        local, string = oracle_margins(k_s, k_v, k_a, tau, t_lo + t_span,
+                                       k_lo, k_lo + k_span)
         assert verdict.local_margins == pytest.approx(local, abs=1e-12)
         assert verdict.string_margins == pytest.approx(string, abs=1e-12)
         assert verdict.locally_stable == all(m > 0 for m in local)
@@ -129,6 +146,44 @@ class TestProperties:
         reg_a = stability_region("k_s", grid, "k_v", grid, fixed_a)
         reg_b = stability_region("k_s", grid, "k_v", grid, fixed_b)
         assert np.all(reg_b.string_stable <= reg_a.string_stable)
+
+
+class TestOracles:
+    """Both verdicts against the closed loop itself rather than the margin
+    algebra: the roots of its characteristic polynomial (Swaroop & Hedrick,
+    IEEE TAC 1996) and the gain of its spacing-error transfer function
+    Gamma(s) = K (k_v s + k_s) / cubic (Ploeg et al., IEEE T-ITS 2014)."""
+
+    # k_a on both sides of 0: only with k_a >= 0 can margin 5 fail while
+    # margin 4 holds
+    @given(k_s=st.floats(0.05, 3.0), k_v=st.floats(0.0, 3.0),
+           k_a=st.floats(-1.0, 1.0), tau=st.floats(0.1, 3.0),
+           t_lo=st.floats(0.05, 1.0), t_span=st.floats(0.0, 1.0),
+           k_lo=st.floats(0.3, 1.2), k_span=st.floats(0.0, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_locally_stable_box_has_stable_poles(self, **gains):
+        cfg = box(**gains)
+        if not assess(cfg).locally_stable:
+            return
+        (t_lo, t_hi), (k_lo, k_hi) = cfg.T_L_bounds, cfg.K_L_bounds
+        for K, T in corners(cfg) + [((k_lo + k_hi) / 2, (t_lo + t_hi) / 2)]:
+            # 1e-12 allows for np.roots' round-off
+            assert np.roots(cubic(cfg, K, T)).real.max() < 1e-12, (K, T)
+
+    # small lags and negative k_a, where most boxes are string stable
+    @given(k_s=st.floats(0.05, 1.0), k_v=st.floats(0.5, 3.0),
+           k_a=st.floats(-2.0, -0.5), tau=st.floats(0.5, 3.0),
+           t_lo=st.floats(0.02, 0.2), t_span=st.floats(0.0, 0.2),
+           k_lo=st.floats(0.3, 1.2), k_span=st.floats(0.0, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_string_stable_box_damps_spacing_errors(self, **gains):
+        cfg = box(**gains)
+        if not assess(cfg).string_stable:
+            return
+        s = 1j * np.logspace(-3, 3, 2001)
+        for K, T in corners(cfg):
+            gamma = K * (cfg.k_v * s + cfg.k_s) / np.polyval(cubic(cfg, K, T), s)
+            assert np.abs(gamma).max() <= 1 + 1e-9, (K, T)
 
 
 class TestVerdict:
@@ -172,10 +227,10 @@ class TestStabilityRegion:
         grid_tau = np.array([-0.5, 0.0, 0.5, 1.0])
         reg = stability_region("tau_star", grid_tau, "k_s",
                                np.linspace(0.5, 2.0, 4), DEFAULT)
-        assert not reg.valid[0].any() and not reg.valid[1].any()
-        assert reg.valid[2].all() and reg.valid[3].all()
-        assert np.isnan(reg.margins[0]).all()
-        assert not reg.locally_stable[0].any()
+        assert np.isnan(reg.margins[:2]).all()
+        assert not np.isnan(reg.margins[2:]).any()
+        assert not reg.locally_stable[:2].any()
+        assert not reg.string_stable[:2].any()
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -198,10 +253,10 @@ class TestStabilityRegion:
                              np.array([1.0]), DEFAULT)
 
 
-def reference_region_csv(region: RegionMap, path) -> None:
+def reference_region_csv(param1, param2, region: RegionMap, path) -> None:
     """The region CSV as the per-row `csv.writer` code wrote it, one row per
     cell."""
-    header = [region.param1, region.param2, "locally_stable", "string_stable"]
+    header = [param1, param2, "locally_stable", "string_stable"]
     header += [f"margin_{i}" for i in range(1, 9)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -229,7 +284,7 @@ class TestRegionCsv:
         assert forks == ([] if one_process else ["write_csv_columns"])
         region = stability_region("k_s", np.linspace(0, 5, 41), "tau_star",
                                   np.linspace(0, 3, 31), DEFAULT)
-        reference_region_csv(region, tmp_path / "ref.csv")
+        reference_region_csv("k_s", "tau_star", region, tmp_path / "ref.csv")
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         # the tau_star = 0 cells carry NaN margins; both verdicts take both values
         text = out.read_text()
