@@ -1,11 +1,12 @@
 """Online Bayesian estimation of the actuation dynamics parameters
 (K_L, T_L) from windowed (accel, demand, jerk) observations.
 
-A stochastic-gradient Langevin sampler first descends to the posterior
-mode and then walks around it; post-burn-in iterates are kept as
-posterior samples.  Each window's posterior mean seeds the next window's
-prior (variance reset to a tunable regularization level), so history
-enters only through the prior.
+Each window is reduced to its sample count and six sums of products.
+From them, damped Newton finds the posterior mode, and a Langevin chain
+preconditioned by the inverse curvature at that mode walks around it;
+post-burn-in iterates are kept as posterior samples.  Each window's
+posterior mean seeds the next window's prior (variance reset to a tunable
+regularization level), so history enters only through the prior.
 """
 from __future__ import annotations
 
@@ -29,24 +30,25 @@ __all__ = [
 
 # parameter vector ordering is (K_L, T_L) throughout
 
-# Iterations per bulk draw of minibatch indices and Langevin noise.  Drawing
-# a whole chain at once would hold a (K_iters, minibatch_n, 5) gather, so
-# memory would grow with K_iters; fixed blocks keep it flat.
-_BLOCK = 256
-# Iterations whose minibatch indices one pass of Floyd's row loop resolves,
-# so the loop's per-row overhead is paid once per four blocks.  Columns are
-# resolved independently, so the slab width changes no index.
-_SLAB = 4 * _BLOCK
-# Rows of a block of chain inputs (see `_block_inputs`): the half step size,
-# the five minibatch sums and the two scaled noises.
-_BLOCK_ROWS = 8
+# Iterations whose Langevin noise is turned into Python floats, and whose
+# minibatch indices are drawn, at a time, so memory stays flat in K_iters.
+_CHUNK = 256
+# The step of the whole-window chain, in units of the metric at the mode.
+# With the noise scaled by sqrt(h (2 - h)) the step keeps a Gaussian
+# posterior's variance exactly; h sets only how fast the chain mixes.
+_H = 0.2
+# Damped Newton's iteration cap, the longest step it tries in log-parameter
+# space, and the Newton decrement at which it stops.
+_NEWTON_ITERS = 100
+_NEWTON_STEP = 1.0
+_NEWTON_TOL = 1e-10
 
 # the standard normal's two-sided 95 % point, for an unsampled window's
 # credible bounds (the prior's own central interval)
 _Z95 = 1.959964
 
 _DIVERGED = ("SGLD chain diverged (K_L or T_L left the positive floats); "
-             "reduce sgld.eta_1 or sgld.max_drift")
+             "reduce sgld.eta_1 or raise sgld.minibatch_n")
 
 
 @dataclass(frozen=True)
@@ -121,32 +123,30 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class SgldHyper:
-    """Sampler settings.  Step size decays as eta_1/k; iterates after
-    ``burn_in`` are retained as posterior samples.  ``max_drift`` caps
-    the per-iteration drift step in log-parameter space so early
-    iterations with large step sizes cannot diverge."""
+    """Sampler settings.  Iterates after ``burn_in`` are retained as
+    posterior samples.  ``minibatch_n`` None (the default) steps on the
+    whole window; a smaller minibatch steps by ``eta_1``, in units of the
+    metric at the mode, which is its only use."""
 
-    eta_1: float = 0.1
-    K_iters: int = 4000
+    eta_1: float = 0.05
+    K_iters: int = 1000
     burn_in_c: int | None = None  # default: 60% of K_iters
-    minibatch_n: int = 32
+    minibatch_n: int | None = None  # default: the whole window
     sigma_sq: float = 0.01
     seed: int = 0
-    max_drift: float = 0.1
 
     def __post_init__(self):
-        if not self.eta_1 > 0:
-            raise ValueError("eta_1 must be positive")
+        # a step of 2 or more has no stationary distribution
+        if not 0 < self.eta_1 < 2:
+            raise ValueError("eta_1 must lie in (0, 2)")
         if not 0 < self.burn_in <= self.K_iters - 2:
             raise ValueError("sgld.burn_in_c (by default 60 % of sgld.K_iters) "
                              "must lie in [1, sgld.K_iters - 2], so that the "
                              "chain keeps at least 2 samples")
-        if self.minibatch_n < 1:
+        if self.minibatch_n is not None and self.minibatch_n < 1:
             raise ValueError("minibatch_n must be at least 1")
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
-        if not self.max_drift > 0:
-            raise ValueError("max_drift must be positive")
 
     @property
     def burn_in(self) -> int:
@@ -175,27 +175,69 @@ class PosteriorEstimate:
         return float(self.mean[1])
 
 
+@dataclass(frozen=True)
+class _WindowStats:
+    """A window's sample count and its six sums of products, each divided
+    by ``sigma_sq``.  The model jerk ``(K_L u - a)/T_L`` is linear in
+    ``(alpha, beta) = (K_L/T_L, 1/T_L)``, so the residual ``r = j - alpha u
+    + beta a`` gives the exact log likelihood, its gradient and curvature
+    from these sums alone."""
+
+    n: int
+    jj: float
+    ju: float
+    uu: float
+    au: float
+    ja: float
+    aa: float
+
+    def log_likelihood(self, K_L: float, T_L: float) -> float:
+        """``-sum(r^2) / (2 sigma_sq)``."""
+        alpha, beta = K_L / T_L, 1.0 / T_L
+        return -0.5 * (self.jj - 2.0 * alpha * self.ju + 2.0 * beta * self.ja
+                       + alpha * alpha * self.uu - 2.0 * alpha * beta * self.au
+                       + beta * beta * self.aa)
+
+    def gradient(self, K_L: float, T_L: float) -> tuple[float, float]:
+        """The log likelihood's gradient in (K_L, T_L)."""
+        alpha, beta = K_L / T_L, 1.0 / T_L
+        g_alpha = self.ju - alpha * self.uu + beta * self.au
+        g_beta = alpha * self.au - self.ja - beta * self.aa
+        return g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
+
+
+def _products(batch: ObservationBatch) -> np.ndarray:
+    """Per-sample products (jj, ju, uu, au, ja, aa), shape (n, 6)."""
+    a, u, j = batch.accel, batch.demand, batch.jerk
+    return np.column_stack([j * j, j * u, u * u, a * u, j * a, a * a])
+
+
+def _overflow_checked(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError("observations too large: the likelihood sums overflow")
+    return values
+
+
+def _window_stats(batch: ObservationBatch, sigma_sq: float,
+                  scale: float = 1.0) -> _WindowStats:
+    """The batch's `_WindowStats`, its sums times ``scale``.  Observations
+    so large that a sum overflows raise ``ValueError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _products(batch).sum(axis=0) * (scale / sigma_sq)
+    return _WindowStats(len(batch), *_overflow_checked(sums).tolist())
+
+
 def log_posterior(
     batch: ObservationBatch, theta, prior: GaussianPrior, sigma_sq: float
 ) -> float:
     """Log prior plus full-batch Gaussian log likelihood (additive jerk
-    noise with variance sigma_sq)."""
+    noise with variance sigma_sq), from the batch's `_WindowStats`."""
     K_L, T_L = theta
     if T_L <= 0:
         raise ValueError("T_L must be positive")
-    r = batch.jerk - (K_L * batch.demand - batch.accel) / T_L
-    n = len(batch)
-    loglik = -0.5 * n * math.log(sigma_sq) - float(r @ r) / (2 * sigma_sq)
-    return prior.log_density(theta) + loglik
-
-
-def _products(batch: ObservationBatch) -> np.ndarray:
-    """Per-sample products (ju, uu, au, ja, aa), shape (n, 5).  The model
-    jerk ``(K_L u - a)/T_L`` is linear in ``(K_L/T_L, 1/T_L)``, so sums of
-    these five columns give the exact likelihood gradient of any subset of
-    the samples."""
-    a, u, j = batch.accel, batch.demand, batch.jerk
-    return np.column_stack([j * u, u * u, a * u, j * a, a * a])
+    stats = _window_stats(batch, sigma_sq)
+    return (prior.log_density(theta) - 0.5 * stats.n * math.log(sigma_sq)
+            + stats.log_likelihood(K_L, T_L))
 
 
 def grad_log_posterior(
@@ -206,7 +248,7 @@ def grad_log_posterior(
     n_total: int | None = None,
 ) -> np.ndarray:
     """Analytic gradient of the log posterior in (K_L, T_L), from the
-    residuals as `log_posterior` computes them.
+    batch's `_WindowStats`, as the sampler computes it.
 
     When ``batch`` is a minibatch, ``n_total`` rescales the likelihood sum
     to the full-batch size.
@@ -214,11 +256,9 @@ def grad_log_posterior(
     K_L, T_L = theta
     if T_L <= 0:
         raise ValueError("T_L must be positive")
-    model = K_L * batch.demand - batch.accel
-    r = batch.jerk - model / T_L
     scale = 1.0 if n_total is None else n_total / len(batch)
-    g_lik = np.array([r @ batch.demand / T_L, -(r @ model) / T_L**2])
-    return prior.grad_log_density(theta) + g_lik * (scale / sigma_sq)
+    g_lik = _window_stats(batch, sigma_sq, scale).gradient(K_L, T_L)
+    return prior.grad_log_density(theta) + np.array(g_lik)
 
 
 def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
@@ -242,85 +282,6 @@ def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
     return draws
 
 
-def _slab_draws(n: int, hyper: SgldHyper):
-    """The batch-independent draws of ``hyper``'s chain on ``n`` samples,
-    per ``_SLAB`` of iterations: the slab's first iteration, the ``(k, m)``
-    minibatch indices into ``range(n)`` (None when the minibatch size ``k``
-    covers the batch) and the ``(m, 2)`` standard normals.
-
-    Each ``_BLOCK`` draws its (k, m) uniforms, unless ``k`` covers the
-    batch, and then its (m, 2) normals; the uniforms of a slab are turned
-    into indices in one pass.
-    """
-    k, K_iters = min(hyper.minibatch_n, n), hyper.K_iters
-    rng = np.random.default_rng(hyper.seed)
-    for slab in range(0, K_iters, _SLAB):
-        end = min(slab + _SLAB, K_iters)
-        uniforms = np.empty((k, end - slab)) if k < n else None
-        normals = np.empty((end - slab, 2))
-        for start in range(slab, end, _BLOCK):
-            stop = min(start + _BLOCK, end)
-            if uniforms is not None:
-                uniforms[:, start - slab:stop - slab] = rng.random((k, stop - start))
-            rng.standard_normal(out=normals[start - slab:stop - slab])
-        yield slab, None if uniforms is None else _draw_minibatches(uniforms, n), normals
-
-
-def _scaled_products(batch: ObservationBatch, hyper: SgldHyper) -> np.ndarray:
-    """The batch's `_products`, each divided by ``sigma_sq`` and scaled from
-    a minibatch to the full batch, so a minibatch's column sums are its
-    likelihood sums.  Observations so large that a product overflows raise
-    ``ValueError``."""
-    n = len(batch)
-    # finite but huge observations overflow the sums; the resulting NaN
-    # drift would slip past the max_drift clip and overflow exp()
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = _products(batch) * (n / (min(hyper.minibatch_n, n) * hyper.sigma_sq))
-    if not np.isfinite(products).all():
-        raise ValueError("observations too large: the likelihood sums overflow")
-    return products
-
-
-def _block_inputs(products: np.ndarray, slabs, hyper: SgldHyper):
-    """Per ``_BLOCK`` of iterations: the first iteration's index and an
-    ``(8, m)`` float64 array of ``hyper``'s chain inputs, one column per
-    iteration: the half step size ``eta/2``, the five minibatch sums of
-    ``products`` and the two scaled Langevin noises.
-
-    Indices and normals come from ``slabs`` (see `_slab_draws`); each block
-    gathers its own sums.  Nothing here depends on the chain's state, so
-    the blocks can be made ahead of the chain, in another process.
-    """
-    full = None
-    for slab, draws, normals in slabs:
-        end = slab + len(normals)
-        for start in range(slab, end, _BLOCK):
-            stop = min(start + _BLOCK, end)
-            etas = hyper.eta_1 / np.arange(start + 1, stop + 1)
-            block = np.empty((_BLOCK_ROWS, stop - start))
-            block[0] = 0.5 * etas
-            if draws is None:
-                if full is None:
-                    full = products.sum(axis=0)[:, None]
-                block[1:6] = full
-            else:
-                # the same (k, m, 5) gather as products[cols], at a fraction
-                # of fancy indexing's cost; summed in the same order
-                cols = draws[:, start - slab:stop - slab]
-                block[1:6] = np.take(products, cols, axis=0).sum(axis=0).T
-            block[6:] = (normals[start - slab:stop - slab] * np.sqrt(etas)[:, None]).T
-            yield start, block
-
-
-def _filled_blocks(fill, K_iters: int):
-    """The blocks of a ``K_iters`` chain, as `_block_inputs` yields them:
-    each allocated here, in iteration order, and filled by ``fill(block)``."""
-    for start in range(0, K_iters, _BLOCK):
-        block = np.empty((_BLOCK_ROWS, min(_BLOCK, K_iters - start)))
-        fill(block)
-        yield start, block
-
-
 def _identifiability(batch: ObservationBatch) -> bool:
     """True when the window carries enough excitation to identify both
     parameters: the demand must actually vary and must not be an affine
@@ -338,90 +299,199 @@ def _identifiability(batch: ObservationBatch) -> bool:
     return True
 
 
+def _log_target(stats: _WindowStats, prior: GaussianPrior, x: float, y: float):
+    """The log posterior of ``(x, y) = (log K_L, log T_L)``, the log-volume
+    term ``x + y`` included and the normalizing constants left out, with
+    its gradient ``(g_x, g_y)`` and the entries ``(a, b, c)`` of minus its
+    Hessian ``[[a, b], [b, c]]``.  Overflow raises ``OverflowError`` and an
+    underflowed T_L ``ZeroDivisionError``."""
+    K, T = math.exp(x), math.exp(y)
+    alpha, beta = K / T, 1.0 / T
+    (m_K, m_T), var = prior.mean, prior.variance
+    g_alpha = stats.ju - alpha * stats.uu + beta * stats.au
+    g_beta = alpha * stats.au - stats.ja - beta * stats.aa
+    # dr/dx = -alpha u and dr/dy = alpha u - beta a; the chain rule through
+    # K = e^x and T = e^y gives the likelihood's terms
+    lik_x = g_alpha * alpha
+    lik_y = -g_alpha * alpha - g_beta * beta
+    f = (stats.log_likelihood(K, T)
+         - ((K - m_K) ** 2 + (T - m_T) ** 2) / (2.0 * var) + x + y)
+    g_x = lik_x + K * (m_K - K) / var + 1.0
+    g_y = lik_y + T * (m_T - T) / var + 1.0
+    a = alpha * alpha * stats.uu - lik_x - K * (m_K - 2.0 * K) / var
+    b = lik_x - alpha * (alpha * stats.uu - beta * stats.au)
+    c = (alpha * alpha * stats.uu - 2.0 * alpha * beta * stats.au
+         + beta * beta * stats.aa + lik_y - T * (m_T - 2.0 * T) / var)
+    return f, g_x, g_y, a, b, c
+
+
+def _start(stats: _WindowStats, prior: GaussianPrior, fix_lag: float | None):
+    """The least-squares (K_L, T_L) of the window's normal equations in
+    ``(alpha, beta)``, or with ``fix_lag`` the least-squares K_L at that
+    lag; where that gives no positive pair, the prior mean (1.0 and 0.3 in
+    place of a non-positive entry)."""
+    m_K, m_T = (float(m) for m in prior.mean)
+    K, T = (m_K if m_K > 0 else 1.0), (m_T if m_T > 0 else 0.3)
+    s = stats
+    if fix_lag is None:
+        det = s.uu * s.aa - s.au * s.au
+        alpha = (s.aa * s.ju - s.au * s.ja) / det if det else 0.0
+        beta = (s.au * s.ju - s.uu * s.ja) / det if det else 0.0
+        if alpha > 0 and beta > 0 and math.isfinite(alpha / beta):
+            return alpha / beta, 1.0 / beta
+        return K, T
+    T = float(fix_lag)
+    K_ls = (s.ju + s.au / T) * T / s.uu if s.uu else 0.0
+    return (K_ls if 0 < K_ls < math.inf else K), T
+
+
+def _mode(stats: _WindowStats, prior: GaussianPrior, K: float, T: float,
+          free_T: bool):
+    """Damped Newton ascent of `_log_target` from (K, T), in T_L too only
+    when ``free_T``: Newton's direction where minus the Hessian is positive
+    definite and the gradient's elsewhere, at most ``_NEWTON_STEP`` long,
+    halved until it gains.  Returns the mode ``(x, y)`` with minus the
+    Hessian's ``(a, b, c)`` there, or None where the search ends without a
+    finite, positive-definite curvature."""
+    x, y = math.log(K), math.log(T)
+    try:
+        point = _log_target(stats, prior, x, y)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    for _ in range(_NEWTON_ITERS):
+        f, g_x, g_y, a, b, c = point
+        if not free_T:
+            g_y, b, c = 0.0, 0.0, 1.0
+        det = a * c - b * b
+        if a > 0 and det > 0:
+            d_x, d_y = (c * g_x - b * g_y) / det, (a * g_y - b * g_x) / det
+        else:
+            d_x, d_y = g_x, g_y
+        gain = g_x * d_x + g_y * d_y  # the Newton decrement, where it applies
+        if not gain > _NEWTON_TOL:
+            break
+        t = min(1.0, _NEWTON_STEP / math.hypot(d_x, d_y))
+        while t > 1e-12:
+            try:
+                trial = _log_target(stats, prior, x + t * d_x, y + t * d_y)
+            except (OverflowError, ZeroDivisionError):
+                trial = None
+            if trial is not None and trial[0] >= f + 1e-4 * t * gain:
+                break
+            t *= 0.5
+        else:
+            break  # no gain left within rounding
+        x, y, point = x + t * d_x, y + t * d_y, trial
+    _, _, _, a, b, c = point
+    if not free_T:
+        b, c = 0.0, 1.0
+    if not (all(map(math.isfinite, point)) and a > 0 and a * c - b * b > 0):
+        return None
+    return x, y, a, b, c
+
+
 def sgld_run(
     batch: ObservationBatch,
     prior: GaussianPrior,
     hyper: SgldHyper,
     fix_lag: float | None = None,
-    *,
-    fill=None,
 ) -> PosteriorEstimate:
-    """Optimization-then-sampling over the window's posterior.
+    """Sample the window's posterior with a Langevin chain preconditioned
+    at its mode.
 
-    The chain iterates in log-parameter space (positivity is structural;
-    the log-volume term is included so retained samples follow the
-    (K_L, T_L) posterior itself).  ``fix_lag`` freezes T_L at the given
-    value and samples K_L only.  Deterministic given ``hyper.seed``.
+    The chain iterates in ``phi = (log K_L, log T_L)`` (positivity is
+    structural; the log-volume term is included so retained samples follow
+    the (K_L, T_L) posterior itself).  It starts at the mode that `_mode`
+    finds from the least-squares point (`_start`), and steps
+    ``phi += h M grad + sqrt(h (2 - h)) L z``, where ``M`` is the inverse
+    of minus the Hessian at the mode, ``L`` its Cholesky factor and ``z``
+    standard normal.  On the whole window ``h`` is ``_H``; with
+    ``hyper.minibatch_n`` below the window's sample count the gradient
+    comes from a fresh minibatch each iteration, scaled to the window, and
+    ``h`` is ``hyper.eta_1``.  ``fix_lag`` freezes T_L at the given value
+    and samples K_L only.  Deterministic given ``hyper.seed``: the noise is
+    one draw, then each chunk's minibatch indices, if any.
 
-    A window without the excitation to identify both parameters (see
-    `_identifiability`; only when ``fix_lag`` is None) is not sampled: no
-    draw is made and no step taken, and the estimate is the prior itself
-    (see `_prior_estimate`), flagged ``low_confidence``.
-
-    Minibatch gradients come from sums of `_scaled_products`; indices and
-    noise are drawn ``_BLOCK`` iterations at a time, index collisions are
-    resolved ``_SLAB`` iterations at a time, and the chain itself steps on
-    plain floats.  ``fill``, when given, has the chain's inputs made ahead
-    (for example in another process) from ``_block_inputs(products,
-    _slab_draws(len(batch), hyper), hyper)``: its first call gets the
-    window's `_scaled_products`, and each later ``fill(block)`` fills an
-    empty ``(8, m)`` float64 block, in iteration order; for a window that
-    is not sampled, ``fill(None)`` is its only call, so the maker can drop
-    it.  A chain that leaves the positive floats raises ``ValueError``.
+    A window is not sampled, and the estimate is the prior itself (see
+    `_prior_estimate`), flagged ``low_confidence``, when it lacks the
+    excitation to identify both parameters (see `_identifiability`; only
+    when ``fix_lag`` is None) or when the mode search finds no
+    positive-definite curvature.  A chain that leaves the positive floats
+    raises ``ValueError``.
     """
     free_T = fix_lag is None
     if not (free_T or 0 < fix_lag < math.inf):
         raise ValueError("fix_lag must be positive and finite")
     # checked on a window that is not sampled too, so that overflowing
     # observations are an error whatever their excitation
-    products = _scaled_products(batch, hyper)
+    stats = _window_stats(batch, hyper.sigma_sq)
     if free_T and not _identifiability(batch):
-        if fill is not None:
-            fill(None)
         return _prior_estimate(prior)
-    if fill is None:
-        blocks = _block_inputs(products, _slab_draws(len(batch), hyper), hyper)
-    else:
-        fill(products)
-        blocks = _filled_blocks(fill, hyper.K_iters)
+    mode = _mode(stats, prior, *_start(stats, prior, fix_lag), free_T)
+    if mode is None:
+        return _prior_estimate(prior)
+    phi_K, phi_T, a, b, c = mode
 
+    n, k = len(batch), hyper.minibatch_n
+    minibatch = k is not None and k < n
+    h = hyper.eta_1 if minibatch else _H
+    # M = [[a, b], [b, c]]^-1 and its Cholesky factor, scaled by the step
+    # and by the noise's sqrt(h (2 - h))
+    det = a * c - b * b
+    s = math.sqrt(h * (2.0 - h))
+    hm_KK, hm_KT, hm_TT = h * c / det, -h * b / det, h * a / det
+    l_KK, l_TK, l_TT = (s * math.sqrt(c / det), -s * b / math.sqrt(c * det),
+                        s / math.sqrt(c))
+    if minibatch:
+        # the five gradient products of each sample, scaled so that a
+        # minibatch's sums are the window's likelihood sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = _products(batch)[:, 1:] * (n / (k * hyper.sigma_sq))
+        scaled = _overflow_checked(scaled)
+    full = [stats.ju, stats.uu, stats.au, stats.ja, stats.aa]
+
+    rng = np.random.default_rng(hyper.seed)
+    normals = rng.standard_normal((hyper.K_iters, 2 if free_T else 1))
     m_K, m_T = (float(m) for m in prior.mean)
-    var = prior.variance
-    K = m_K if m_K > 0 else 1.0
-    T = (m_T if m_T > 0 else 0.3) if free_T else float(fix_lag)
-    phi_K, phi_T = math.log(K), math.log(T)
-
-    burn, max_drift = hyper.burn_in, hyper.max_drift
+    inv_var = 1.0 / prior.variance
+    K, T = math.exp(phi_K), (math.exp(phi_T) if free_T else float(fix_lag))
+    burn = hyper.burn_in
     samples = np.empty((hyper.K_iters - burn, 2))
-    exp, hypot = math.exp, math.hypot
+    exp = math.exp
     try:
-        for start, block in blocks:
-            flat = []  # the block's iterates as K, T, K, T, ...
-            for h, s_ju, s_uu, s_au, s_ja, s_aa, z_K, z_T in zip(*block.tolist()):
-                # the likelihood gradient from the five sums: d/d(alpha) and
-                # d/d(beta) of -sum(r^2)/2 with r = j - alpha u + beta a,
-                # alpha = K/T and beta = 1/T, then in (K, T) by the chain rule
+        for start in range(0, hyper.K_iters, _CHUNK):
+            chunk = normals[start:start + _CHUNK]
+            m = len(chunk)
+            if minibatch:
+                # the same (k, m, 5) gather as scaled[cols], at a fraction
+                # of fancy indexing's cost
+                cols = _draw_minibatches(rng.random((k, m)), n)
+                sums = np.take(scaled, cols, axis=0).sum(axis=0).tolist()
+            else:
+                sums = [full] * m
+            flat = []  # the chunk's iterates as K, T, K, T, ...
+            for (s_ju, s_uu, s_au, s_ja, s_aa), z_K, z_T in zip(
+                    sums, chunk[:, 0].tolist(), chunk[:, -1].tolist()):
+                # the likelihood gradient in phi from the five sums (see
+                # `_log_target`), plus the prior's and the log-volume term
                 alpha, beta = K / T, 1.0 / T
                 g_alpha = s_ju - alpha * s_uu + beta * s_au
-                g_beta = alpha * s_au - s_ja - beta * s_aa
-                g_K, g_T = g_alpha * beta, -(K * g_alpha + g_beta) * beta * beta
-                # chain rule to log space plus the log-volume term of the transform
-                d_K = h * (K * ((m_K - K) / var + g_K) + 1.0)
-                d_T = h * (T * ((m_T - T) / var + g_T) + 1.0) if free_T else 0.0
-                norm = hypot(d_K, d_T)
-                if norm > max_drift:
-                    d_K *= max_drift / norm
-                    d_T *= max_drift / norm
-                phi_K += d_K + z_K
-                K = exp(phi_K)
+                lik_x = g_alpha * alpha
+                g_x = lik_x + K * (m_K - K) * inv_var + 1.0
                 if free_T:
-                    phi_T += d_T + z_T
+                    g_beta = alpha * s_au - s_ja - beta * s_aa
+                    g_y = T * (m_T - T) * inv_var + 1.0 - lik_x - g_beta * beta
+                    phi_K += hm_KK * g_x + hm_KT * g_y + l_KK * z_K
+                    phi_T += hm_KT * g_x + hm_TT * g_y + l_TK * z_K + l_TT * z_T
                     T = exp(phi_T)
+                else:
+                    phi_K += hm_KK * g_x + l_KK * z_K
+                K = exp(phi_K)
                 flat.append(K)
                 flat.append(T)
-            lo, stop = max(start, burn), start + len(flat) // 2
-            if lo < stop:
-                samples[lo - burn:stop - burn].reshape(-1)[:] = flat[2 * (lo - start):]
+            lo = max(start, burn)
+            if lo < start + m:
+                samples[lo - burn:start + m - burn].reshape(-1)[:] = flat[2 * (lo - start):]
     except (OverflowError, ZeroDivisionError):
         # exp() overflowed, or T_L underflowed to 0 and K / T divided by it
         raise ValueError(_DIVERGED) from None

@@ -24,8 +24,6 @@ from .estimator import (
     GaussianPrior,
     PosteriorEstimate,
     SgldHyper,
-    _block_inputs,
-    _slab_draws,
     batch_from_series,
     sgld_run,
     update_prior,
@@ -318,10 +316,9 @@ def _forked(work):
 
     Where this thread may run on two or more CPUs and the platform lets
     them be chosen, the child keeps to all of them but the lowest and this
-    thread to the lowest; when the block ends, however it ends, this
-    thread's CPU set is restored.  Each pipe write wakes the reader as a
-    process the writer is about to wait for, so the scheduler tends to run
-    both on the writer's CPU, one preempting the other while a CPU idles.
+    thread to the lowest, so that the scheduler does not run both on one
+    CPU, one preempting the other while a CPU idles; when the block ends,
+    however it ends, this thread's CPU set is restored.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
     own = {min(cpus)} if len(cpus) >= 2 else None
@@ -364,116 +361,6 @@ def _forked(work):
                 os.sched_setaffinity(0, cpus)
 
 
-# bytes the block pipe asks for: a default window's blocks (16 of 8 x 256
-# float64, 256 KiB) with room to spare, so the helper writes a window's
-# blocks without waiting on the chain and then makes the next window's
-# draws while it runs
-_PIPE_BYTES = 1 << 20
-
-# the first byte of each window's message to the helper: the chain skips
-# the window, or samples it and the window's products follow
-_SKIP, _SAMPLE = b"\0", b"\1"
-
-
-@contextlib.contextmanager
-def _prefetched_blocks(hypers, n: int):
-    """While the block runs, a forked helper makes the SGLD chain inputs of
-    every sampled window, in window order: window ``w``'s are
-    `_block_inputs` of its products and of `_slab_draws` for ``n`` samples
-    and ``hypers[w]``.
-
-    For each window the helper reads a one-byte header from one pipe:
-    ``_SKIP`` for a window that is not sampled, or ``_SAMPLE`` followed by
-    the window's ``(n, 5)`` products; for a sampled window it writes the
-    blocks as raw float64 bytes to another pipe.  Until the header comes,
-    the helper draws ahead, a slab at a time, and drops the draws on
-    ``_SKIP``.  The block pipe's capacity bounds how far ahead the helper
-    runs; it asks for ``_PIPE_BYTES`` where the platform can set it, and a
-    refusal keeps the default size.
-
-    Yields ``window_fill(w)``, the ``fill`` for window ``w``'s `sgld_run`:
-    its first call sends the header, with the products it is given, and
-    each later ``fill(block)`` reads a block.  Windows are taken in order,
-    a sampled one read to its end.  Yields None, and each chain makes its
-    own inputs, when there is no window or `_can_offload` is false, or the
-    fork fails.  A helper that ends early makes the send or the read raise
-    ``OSError`` naming the window.
-    """
-    if not (hypers and _can_offload()):
-        yield None
-        return
-    import fcntl  # POSIX, as fork is
-
-    def produce():
-        import select
-        # the parent's ends: the writes fail, not block, once it is gone
-        from_helper.close()
-        to_helper.close()
-        # products_in is unbuffered, so a poll sees every byte not yet read
-        poll = select.poll()
-        poll.register(products_in, select.POLLIN)
-        products = np.empty((n, 5))
-        for hyper in hypers:
-            # draw ahead, a slab at a time, until the window's header comes
-            draws, slabs = _slab_draws(n, hyper), []
-            while not poll.poll(0) and (slab := next(draws, None)) is not None:
-                slabs.append(slab)
-            header = products_in.read(1)
-            if header == _SKIP:
-                continue
-            if header != _SAMPLE:
-                return  # the parent took no more windows
-            slabs.extend(draws)
-            view = memoryview(products).cast("B")
-            while view:
-                got = products_in.readinto(view)
-                if not got:
-                    return
-                view = view[got:]
-            for _, block in _block_inputs(products, slabs, hyper):
-                blocks_out.write(block)
-            blocks_out.flush()
-
-    def ended(w):
-        return OSError("the process making SGLD inputs ahead ended before "
-                       f"the inputs of window {w}")
-
-    def window_fill(w):
-        sent = False
-
-        def fill(array):
-            nonlocal sent
-            if not sent:  # the header, and a sampled window's products
-                sent = True
-                view = memoryview(_SKIP if array is None
-                                  else _SAMPLE + array.tobytes())
-                try:
-                    while view:
-                        view = view[to_helper.write(view):]
-                except BrokenPipeError:
-                    raise ended(w) from None
-            elif from_helper.readinto(array) != array.nbytes:
-                raise ended(w)
-        return fill
-
-    blocks_read, blocks_write = os.pipe()
-    products_read, products_write = os.pipe()
-    with contextlib.ExitStack() as stack:
-        from_helper = stack.enter_context(open(blocks_read, "rb"))
-        # unbuffered, so a failed send leaves nothing to flush at close
-        to_helper = stack.enter_context(open(products_write, "wb", buffering=0))
-        with open(blocks_write, "wb") as blocks_out, \
-                open(products_read, "rb", buffering=0) as products_in:
-            # F_SETPIPE_SZ is Linux only; where it is missing or refused
-            # (above the user's limit, say) the pipe keeps its default size
-            with contextlib.suppress(AttributeError, OSError):
-                fcntl.fcntl(blocks_write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-            forked = stack.enter_context(_forked(produce))
-        # the helper's ends are closed here, so its exit reads as EOF and
-        # makes a send fail
-        yield None if forked is None else window_fill
-
-
 def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     """Simulate window by window: estimate the dynamics parameters from
     each completed window, evaluate the strategy layer, and (when the
@@ -503,50 +390,47 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     collision_time = None
     start = 0
     w = 0
-    hypers = [replace(scenario.sgld, seed=_window_seed(scenario.seed, i))
-              for i in range(n_windows)]
-    with _prefetched_blocks(hypers, win_steps) as window_fill:
-        while start < n:
-            stop = min(start + win_steps, n)
-            active_cfg = (cfg if tau_active == cfg.tau_star
-                          else replace(cfg, tau_star=tau_active))
-            piece = plant._simulate_inner(
-                leader, active_cfg, scenario.schedule, ego, plant_rng, start, stop
+    while start < n:
+        stop = min(start + win_steps, n)
+        active_cfg = (cfg if tau_active == cfg.tau_star
+                      else replace(cfg, tau_star=tau_active))
+        piece = plant._simulate_inner(
+            leader, active_cfg, scenario.schedule, ego, plant_rng, start, stop
+        )
+        follower_cols[:, filled:filled + len(piece)] = (
+            piece.time, piece.position, piece.speed, piece.accel, piece.jerk,
+            piece.demanded_accel)
+        filled += len(piece)
+        collision_time = piece.collision_time
+        if collision_time is not None:
+            break
+        ego = piece.final_state
+        if w < n_windows:
+            batch = batch_from_series(
+                piece.accel, piece.demanded_accel, cfg.t_s,
+                t_start=float(piece.time[0]),
             )
-            follower_cols[:, filled:filled + len(piece)] = (
-                piece.time, piece.position, piece.speed, piece.accel, piece.jerk,
-                piece.demanded_accel)
-            filled += len(piece)
-            collision_time = piece.collision_time
-            if collision_time is not None:
-                break
-            ego = piece.final_state
-            if w < n_windows:
-                batch = batch_from_series(
-                    piece.accel, piece.demanded_accel, cfg.t_s,
-                    t_start=float(piece.time[0]),
-                )
-                estimate = sgld_run(batch, prior, hypers[w], fill=(
-                    None if window_fill is None else window_fill(w)))
-                decision = monitor.evaluate(estimate, cfg, scenario.policy)
-                applied = False
-                if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:
-                    cfg = monitor.apply_decision(cfg, decision)
-                    applied = True
-                windows.append(WindowRecord(
-                    w, float(piece.time[0]), float(piece.time[0]) + scenario.window_length,
-                    prior.mean, prior.variance, estimate, decision, applied,
-                ))
-                # no verdict: the estimate is low-confidence or no valid
-                # configuration could be built from it, so it seeds no prior
-                if decision.stability_verdict is not None:
-                    prior = update_prior(estimate, scenario.rolling_lambda)
-                w += 1
-                max_step = scenario.policy.tau_star_slew * scenario.window_length
-                # apply_decision never lowers cfg.tau_star, so the slew only rises
-                if tau_active < cfg.tau_star:
-                    tau_active = min(cfg.tau_star, tau_active + max_step)
-            start = stop
+            estimate = sgld_run(batch, prior, replace(
+                scenario.sgld, seed=_window_seed(scenario.seed, w)))
+            decision = monitor.evaluate(estimate, cfg, scenario.policy)
+            applied = False
+            if scenario.strategy_enabled and decision.action is not monitor.Action.NONE:
+                cfg = monitor.apply_decision(cfg, decision)
+                applied = True
+            windows.append(WindowRecord(
+                w, float(piece.time[0]), float(piece.time[0]) + scenario.window_length,
+                prior.mean, prior.variance, estimate, decision, applied,
+            ))
+            # no verdict: the estimate is low-confidence or no valid
+            # configuration could be built from it, so it seeds no prior
+            if decision.stability_verdict is not None:
+                prior = update_prior(estimate, scenario.rolling_lambda)
+            w += 1
+            max_step = scenario.policy.tau_star_slew * scenario.window_length
+            # apply_decision never lowers cfg.tau_star, so the slew only rises
+            if tau_active < cfg.tau_star:
+                tau_active = min(cfg.tau_star, tau_active + max_step)
+        start = stop
 
     follower = plant.SimulationResult(*follower_cols[:, :filled], collision_time)
     switch_time = _first_switch(scenario.schedule)

@@ -76,17 +76,41 @@ def _margin_arrays(k_s, k_v, k_a, tau, t_hi, k_lo, k_hi):
     return local, string
 
 
+def _string_stable(k_s, k_v, k_a, tau, t_bounds, k_bounds):
+    """Exact string stability at the four (K_L, T_L) corners, vectorized
+    over the gain/time-gap arguments.  With ``c = k_s tau + k_v``, the gain
+    ``|Gamma(jw)|`` of ``Gamma(s) = K (k_v s + k_s) / (T s^3 + (1 - K k_a)
+    s^2 + K c s + K k_s)`` is at most 1 at every w exactly when ``T^2 x^2
+    + b x + a >= 0`` for every ``x = w^2 >= 0``, with ``a = K (K (c^2 -
+    k_v^2) + 2 K k_s k_a - 2 k_s)`` and ``b = (1 - K k_a)^2 - 2 K T c``:
+    that is, ``a >= 0`` and (``b >= 0`` or ``b^2 < 4 T^2 a``).  NaN, which
+    only overflowing input gives, is not stable."""
+    combo = k_s * tau + k_v
+    stable = True
+    for K in k_bounds:
+        a = K * (K * (_square(combo) - _square(k_v) + 2.0 * k_s * k_a) - 2.0 * k_s)
+        for T in t_bounds:
+            b = _square(1.0 - K * k_a) - 2.0 * K * T * combo
+            stable = stable & (a >= 0) & ((b >= 0) | (_square(b) < 4.0 * T * T * a))
+    return stable
+
+
 def assess(cfg: ControllerConfig) -> StabilityVerdict:
     """The five local and three string margins of ``cfg`` and both
-    verdicts.  Margins are strict: zero or NaN counts as not satisfied."""
+    verdicts.  Local margins are strict: zero or NaN counts as not
+    satisfied.  The string verdict is `_string_stable` at the corners of
+    the bounds, which margins 6-8 only bound."""
     local, string = _margin_arrays(
         cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
         cfg.T_L_bounds[1], cfg.K_L_bounds[0], cfg.K_L_bounds[1],
     )
     local = tuple(float(m) for m in local)
     string = tuple(float(m) for m in string)
-    return StabilityVerdict(all(m > 0 for m in local),
-                            all(m > 0 for m in string), local + string)
+    # on Python floats, whose squares `_square` keeps from overflowing
+    exact = _string_stable(float(cfg.k_s), float(cfg.k_v), float(cfg.k_a),
+                           float(cfg.tau_star), tuple(map(float, cfg.T_L_bounds)),
+                           tuple(map(float, cfg.K_L_bounds)))
+    return StabilityVerdict(all(m > 0 for m in local), bool(exact), local + string)
 
 
 @dataclass
@@ -150,12 +174,14 @@ def stability_region(
             vals["k_s"], vals["k_v"], vals["k_a"], vals["tau_star"],
             fixed.T_L_bounds[1], fixed.K_L_bounds[0], fixed.K_L_bounds[1],
         )
+        exact = _string_stable(vals["k_s"], vals["k_v"], vals["k_a"],
+                               vals["tau_star"], fixed.T_L_bounds, fixed.K_L_bounds)
     margins = np.stack(
         [np.broadcast_to(m, g1.shape) for m in local + string], axis=-1
     ).astype(float)
     margins = np.where(valid[..., None], margins, np.nan)
     with np.errstate(invalid="ignore"):
         ok_local = valid & np.all(margins[..., :N_LOCAL] > 0, axis=-1)
-        ok_string = valid & np.all(margins[..., N_LOCAL:] > 0, axis=-1)
+        ok_string = valid & np.broadcast_to(exact, g1.shape)
     return RegionMap(grid1, grid2, margins, ok_local, ok_string)
 

@@ -1,5 +1,5 @@
-"""Fixtures for the forked helpers of `cfmonitor.harness`: the float-table
-writer's formatter and the closed loop's SGLD chain inputs."""
+"""Fixtures for the forked helper of `cfmonitor.harness`: the float-table
+writer's formatter."""
 import os
 import sys
 
@@ -12,7 +12,7 @@ from cfmonitor import harness
 def forks(monkeypatch):
     """Two usable CPUs whatever the affinity, and a list that gets, per fork
     the harness makes, the name of the harness function that asked for it
-    (``write_csv_columns`` or ``_prefetched_blocks``)."""
+    (``write_csv_columns``)."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     calls = []
     real_fork = os.fork

@@ -42,7 +42,7 @@ CONFIG_KEYS = (
     "monitor.gains_escalated_k_a", "monitor.bound_inflation",
     "monitor.tau_star_slew", "monitor.enabled",
     "sgld.eta_1", "sgld.K_iters", "sgld.burn_in_c", "sgld.minibatch_n",
-    "sgld.sigma_sq", "sgld.max_drift",
+    "sgld.sigma_sq",
     "window.length", "prior.mean_K_L", "prior.mean_T_L", "prior.variance",
     "prior.rolling_lambda", "seed",
 )
@@ -69,10 +69,15 @@ def strict_json(text):
     return json.loads(text, parse_constant=_no_constant)
 
 
-DIVERGING = ("sgld.eta_1 = 1e6", "sgld.max_drift = 1e6")
+# large steps on minibatches of one sample (DIVERGING_MINIBATCH)
+DIVERGING = ("sgld.eta_1 = 1.9", "sgld.eta_1 = 1.5")
+DIVERGING_MINIBATCH = "sgld.minibatch_n = 1\n"
 # these used to run to the first sampled window and end there with "need at
 # least 2 samples", naming no key
 ONE_SAMPLE_CHAINS = ("sgld.K_iters = 2", "sgld.K_iters = 100\nsgld.burn_in_c = 99")
+# a prior so tight at K_L = 1e-4 that every sampled window's estimate lies
+# below the 1e-3 floor of the bounds the monitor would re-center
+TINY_GAIN_PRIOR = "prior.mean_K_L = 1e-4\nprior.variance = 1e-10\n"
 
 
 def stability_exit_code(cfg, values):
@@ -196,6 +201,10 @@ class TestConfigHoles:
         # chains that keep 1 sample, with the default burn-in and a given one
         *((line, "sgld.burn_in_c (by default 60 % of sgld.K_iters) must lie in "
                  "[1, sgld.K_iters - 2]") for line in ONE_SAMPLE_CHAINS),
+        # a minibatch step of 2 or more has no stationary distribution
+        ("sgld.eta_1 = 2", "eta_1 must lie in (0, 2)"),
+        # the drift clip went with the decaying step it held
+        ("sgld.max_drift = 0.1", "unknown config keys: ['sgld.max_drift']"),
     ])
     def test_rejected_with_exit_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "scenario.cfg"
@@ -213,8 +222,12 @@ class TestConfigHoles:
         assert out["string_margins"][2] is None  # NaN, written as null
 
     def test_overflowing_margins_in_closed_loop(self, tmp_path):
+        # with the strategy off the trajectory does not depend on the
+        # estimates: windows 15, 16 and 24 lack the excitation to be
+        # sampled, and every other window's verdict has an overflowing margin
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("controller.k_v = 1e200\nsgld.K_iters = 100\n")
+        cfg.write_text("controller.k_v = 1e200\nsgld.K_iters = 100\n"
+                       "monitor.enabled = false\n")
         run = tmp_path / "run"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", "--config", str(cfg),
@@ -222,7 +235,8 @@ class TestConfigHoles:
         lines = (run / "decisions.jsonl").read_text().splitlines()
         margins = [strict_json(line)["margins"] for line in lines]
         assert len(margins) == 30
-        assert all(m is not None and m[-1] is None for m in margins)
+        assert [w for w, m in enumerate(margins) if m is None] == [15, 16, 24]
+        assert all(m[-1] is None for m in margins if m is not None)
 
     @pytest.mark.parametrize("key", CONFIG_KEYS)
     def test_each_key_with_odd_values_exits_0_or_2(self, cfg_dir, key):
@@ -429,9 +443,9 @@ class TestCliEstimate:
         log = tmp_path / "log.csv"
         self._write_log(log)
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_text(line + "\n" + DIVERGING_MINIBATCH)
         assert main(["estimate", str(log), "--config", str(cfg)]) == 2
-        assert "reduce sgld.eta_1 or sgld.max_drift" in capsys.readouterr().err
+        assert "reduce sgld.eta_1 or raise sgld.minibatch_n" in capsys.readouterr().err
 
     def test_malformed_log_is_config_error(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -519,18 +533,19 @@ class TestCliSimulate:
     @pytest.mark.parametrize("line", DIVERGING)
     def test_diverging_chain_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text(line + "\nsgld.K_iters = 300\n")
+        cfg.write_text(line + "\nsgld.K_iters = 300\n" + DIVERGING_MINIBATCH)
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "reduce sgld.eta_1 or sgld.max_drift" in capsys.readouterr().err
+        assert "reduce sgld.eta_1 or raise sgld.minibatch_n" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_estimate_without_valid_config_is_not_acted_on(self, tmp_path):
-        # seed 1 at eta_1 = 100: window 6's posterior mean is K_L = 4e-6,
-        # below the 1e-3 floor of the bounds the monitor would re-center;
-        # that used to end the run with "K_L_nominal outside K_L_bounds"
+        # seed 1 under a tight prior at K_L = 1e-4: window 4, the first one
+        # sampled, has posterior mean K_L = 1.3e-4, below the 1e-3 floor of
+        # the bounds the monitor would re-center; that used to end the run
+        # with "K_L_nominal outside K_L_bounds"
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("sgld.eta_1 = 100\n")
+        cfg.write_text(TINY_GAIN_PRIOR)
         run = tmp_path / "run"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", "--config", str(cfg), "--seed", "1",
@@ -539,25 +554,26 @@ class TestCliSimulate:
                  (run / "decisions.jsonl").read_text().splitlines()]
         skipped = [d for d in lines
                    if d["rationale"][0].startswith("no valid configuration")]
-        assert skipped and skipped[0]["window"] == 6
-        assert "K_L=4.00525e-06" in skipped[0]["rationale"][0]
+        assert skipped and skipped[0]["window"] == 4
+        assert "K_L=0.000127917" in skipped[0]["rationale"][0]
         assert all(d["action"] == "none" and not d["anomaly"]
                    and d["margins"] is None for d in skipped)
 
     def test_estimate_without_valid_config_seeds_no_prior(self, tmp_path):
-        # window 6's estimate (K_L = 4e-6) is not acted on; window 7 used to
-        # start from it anyway, with prior mean [4.0e-06, 19.97]
+        # window 4's estimate (K_L = 1.3e-4) is not acted on; window 5
+        # would start from it, with prior mean [1.3e-04, 0.30007]
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("sgld.eta_1 = 100\n")
+        cfg.write_text(TINY_GAIN_PRIOR)
         run = tmp_path / "run"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", "--config", str(cfg), "--seed", "1",
                          "--out", str(run)]) == 0
         est = [strict_json(line) for line in
                (run / "estimates.jsonl").read_text().splitlines()]
-        assert est[6]["posterior_mean"]["K_L"] < 1e-3
-        assert est[7]["prior_mean"] == est[6]["prior_mean"]
-        assert est[7]["prior_variance"] == est[6]["prior_variance"]
+        assert est[4]["sample_count"] > 0
+        assert est[4]["posterior_mean"]["K_L"] < 1e-3
+        assert est[5]["prior_mean"] == est[4]["prior_mean"]
+        assert est[5]["prior_variance"] == est[4]["prior_variance"]
 
     def test_leader_at_another_step_is_config_error(self, tmp_path, capsys):
         # uniform at 0.02 s: the message says so, rather than calling it
@@ -701,7 +717,7 @@ class TestFreshInterpreter:
 # messages of the errors a run can end with after its configuration was
 # accepted; each names what to change
 IN_RUN_ERRORS = (
-    "reduce sgld.eta_1 or sgld.max_drift",  # a diverging chain
+    "reduce sgld.eta_1 or raise sgld.minibatch_n",  # a diverging chain
     "the likelihood sums overflow",
     "the explicit Euler step would diverge",
     "outside trajectory span",
@@ -761,7 +777,8 @@ RUN_VALUES = st.fixed_dictionaries({
     "leader.source": st.sampled_from(["leader.csv", "synthetic", "missing.csv"]),
     "plant.switch_time": st.sampled_from([6, None, 20]),
     "sgld.K_iters": st.integers(50, 300),
-    # 1e-3 to 1e6: small steps, the default 0.1, and wild ones
+    # 1e-3 to 1e6: small steps, the default 0.05, and values from 2 on,
+    # which are rejected; a step counts only with sgld.minibatch_n set
     "sgld.eta_1": st.integers(-30, 60).map(lambda e: 10.0 ** (e / 10)),
 }, optional={
     "window.length": st.sampled_from([1, 2, 3, 0.015, 0, -1, 1e-12, 0.01]),
@@ -773,10 +790,11 @@ RUN_VALUES = st.fixed_dictionaries({
 }).flatmap(lambda bounded: st.dictionaries(
     st.sampled_from(FREE_KEYS), CONFIG_VALUES, max_size=3,
 ).map(lambda free: {**bounded, **free}))
-# this run used to end with "K_L_nominal outside K_L_bounds": an estimate
-# from which no valid configuration can be built stopped it
-WILD_ETA = {"leader.source": "leader.csv", "plant.switch_time": 6,
-            "sgld.K_iters": 100, "sgld.eta_1": 100.0, "seed": 0}
+# an estimate from which no valid configuration can be built, which used
+# to stop a run with "K_L_nominal outside K_L_bounds"
+TINY_GAIN = {"leader.source": "leader.csv", "plant.switch_time": 6,
+             "sgld.K_iters": 100, "sgld.eta_1": 0.05, "prior.mean_K_L": 1e-4,
+             "prior.variance": 1e-10, "seed": 0}
 
 
 class TestRunFuzz:
@@ -801,7 +819,7 @@ class TestRunFuzz:
             assert rejected_up_front(cfg) or any(m in err for m in IN_RUN_ERRORS), err
 
     @given(values=RUN_VALUES)
-    @example(values=WILD_ETA)
+    @example(values=TINY_GAIN)
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_simulate(self, fuzz_files, values):

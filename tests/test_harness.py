@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import io
 import json
 import os
 import re
@@ -9,8 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfmonitor import estimator, harness, plant
-from cfmonitor.cli import main
+from cfmonitor import harness, plant
 from cfmonitor.estimator import SgldHyper
 from cfmonitor.harness import (
     LeaderSegment,
@@ -391,164 +389,6 @@ class TestForked:
                     raise KeyError("the block failed")
                 assert wait() == 1
         assert os.sched_getaffinity(0) == cpus
-        assert_no_children()
-
-
-class TestPrefetchedDraws:
-    """The closed loop's SGLD chain inputs, made by a forked helper, against
-    the inputs each chain makes in-process."""
-
-    @pytest.fixture
-    def config(self, tmp_path):
-        """A 12 s leader (six windows) and a switch at 6 s; K_iters spans
-        two slabs, or the window is one full batch.  Windows 0 and 2, at
-        constant leader speed, are not sampled, and each is followed by a
-        sampled one, so a skipped window's blocks left in the pipe would
-        feed the next chain."""
-        def write(text):
-            save_trajectory(synthetic_leader(SyntheticLeaderSpec(segments=(
-                LeaderSegment(3.0, 0.0), LeaderSegment(3.0, -1.0),
-                LeaderSegment(3.0, 1.0), LeaderSegment(3.0, 0.0)))),
-                tmp_path / "leader.csv")
-            path = tmp_path / "run.cfg"
-            path.write_text(f"leader.source = {tmp_path / 'leader.csv'}\n"
-                            f"plant.switch_time = 6\n{text}")
-            return path
-        return write
-
-    @staticmethod
-    def simulate(cfg, out):
-        """Exit code and stderr of ``cfmonitor simulate``, which leaves this
-        thread's CPU set as it found it."""
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        if cpus is not None:
-            assert os.sched_getaffinity(0) == cpus
-        return code, err.getvalue()
-
-    @staticmethod
-    def assert_same_artifacts(a, b):
-        """Both run directories hold the seven artifacts, byte for byte alike."""
-        names = sorted(os.listdir(a))
-        assert len(names) == 7 and names == sorted(os.listdir(b))
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n",
-                                      "sgld.K_iters = 300\nsgld.minibatch_n = 200\n"])
-    @pytest.mark.parametrize("no_prefetch", ["one_cpu", "no_fork", "fork_fails"])
-    def test_artifacts_equal_in_process_draws(self, tmp_path, monkeypatch, forks,
-                                              assert_no_children, config, sgld,
-                                              no_prefetch):
-        cfg = config(sgld)
-        assert self.simulate(cfg, tmp_path / "prefetch") == (0, "")
-        assert forks.count("_prefetched_blocks") == 1
-        counts = [json.loads(line)["sample_count"] for line in
-                  (tmp_path / "prefetch" / "estimates.jsonl").read_text().splitlines()]
-        assert [count > 0 for count in counts] == [False, True, False, True, True, True]
-        if no_prefetch == "one_cpu":
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        elif no_prefetch == "no_fork":
-            monkeypatch.delattr(os, "fork")
-        else:
-            def fork():
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            monkeypatch.setattr(os, "fork", fork)
-        assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
-        assert forks.count("_prefetched_blocks") == 1
-        self.assert_same_artifacts(tmp_path / "prefetch", tmp_path / "in_process")
-        assert_no_children()
-
-    def test_helper_gets_the_estimators_products(self, tmp_path, monkeypatch,
-                                                 forks, assert_no_children, config):
-        # the products are made in one place, which `sgld_run` reads: halved
-        # there, they reach the helper's chains and the in-process ones alike
-        real_products = estimator._scaled_products
-        monkeypatch.setattr(estimator, "_scaled_products",
-                            lambda batch, hyper: real_products(batch, hyper) / 2)
-        cfg = config("sgld.K_iters = 1100\n")
-        assert self.simulate(cfg, tmp_path / "prefetch") == (0, "")
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
-        assert forks.count("_prefetched_blocks") == 1
-        self.assert_same_artifacts(tmp_path / "prefetch", tmp_path / "in_process")
-        assert_no_children()
-
-    @pytest.mark.parametrize("platform", ["refused", "no_constant"])
-    def test_default_pipe_size_keeps_artifacts(self, tmp_path, monkeypatch, forks,
-                                               assert_no_children, config, platform):
-        fcntl = pytest.importorskip("fcntl")
-        cfg = config("sgld.K_iters = 1100\n")
-        assert self.simulate(cfg, tmp_path / "asked") == (0, "")
-        refused = []
-        if platform == "refused":
-            real_fcntl = fcntl.fcntl
-
-            def refuse(fd, cmd, *args):
-                if cmd == getattr(fcntl, "F_SETPIPE_SZ", None):
-                    refused.append(cmd)
-                    raise PermissionError(1, "Operation not permitted")
-                return real_fcntl(fd, cmd, *args)
-            monkeypatch.setattr(fcntl, "fcntl", refuse)
-        else:
-            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
-        assert self.simulate(cfg, tmp_path / "default") == (0, "")
-        assert forks.count("_prefetched_blocks") == 2
-        if platform == "refused" and hasattr(fcntl, "F_SETPIPE_SZ"):
-            assert refused
-        self.assert_same_artifacts(tmp_path / "asked", tmp_path / "default")
-        assert_no_children()
-
-    def fail_draws(self, monkeypatch, window):
-        """Make the helper's draws for ``window`` raise, in the helper only."""
-        parent = os.getpid()
-        real_slab_draws = harness._slab_draws
-
-        def slab_draws(n, hyper):
-            if os.getpid() != parent and hyper.seed == harness._window_seed(0, window):
-                raise RuntimeError("draws failed")
-            return real_slab_draws(n, hyper)
-
-        monkeypatch.setattr(harness, "_slab_draws", slab_draws)
-
-    def test_child_failure_exits_4(self, tmp_path, monkeypatch, forks,
-                                   assert_no_children, config):
-        # window 3 is sampled; the helper fails only after reading window
-        # 2's header, so window 2 cannot be the one named
-        self.fail_draws(monkeypatch, 3)
-        code, err = self.simulate(config("sgld.K_iters = 1100\n"), tmp_path / "out")
-        assert code == 4
-        assert err.startswith("I/O error: ") and err.rstrip().endswith(" window 3")
-        assert forks.count("_prefetched_blocks") == 1
-        assert_no_children()
-
-    def test_child_failure_in_skipped_window_exits_4(self, tmp_path, monkeypatch,
-                                                     forks, assert_no_children,
-                                                     config):
-        # window 2 is not sampled, so nothing waits on the helper there: its
-        # end shows when window 2's header or window 3's inputs are sent
-        self.fail_draws(monkeypatch, 2)
-        code, err = self.simulate(config("sgld.K_iters = 1100\n"), tmp_path / "out")
-        assert code == 4
-        assert err.startswith("I/O error: ")
-        assert err.rstrip().endswith((" window 2", " window 3"))
-        assert forks.count("_prefetched_blocks") == 1
-        assert_no_children()
-
-    def test_diverged_chain_exits_2(self, tmp_path, forks, assert_no_children,
-                                    config):
-        code, err = self.simulate(config("sgld.K_iters = 1100\nsgld.eta_1 = 1e6\n"),
-                                  tmp_path / "out")
-        assert code == 2 and "SGLD chain diverged" in err
-        assert forks.count("_prefetched_blocks") == 1
-        assert_no_children()
-
-    def test_collision_mid_run_reaps_child(self, forks, assert_no_children):
-        report = run_closed_loop(COLLIDING)
-        assert report.collision_time is not None and report.windows
-        assert forks == ["_prefetched_blocks"]
         assert_no_children()
 
 

@@ -159,10 +159,13 @@ class TestEvaluate:
         assert any("precedence" in r for r in d.rationale)
 
     def test_escalation_is_idempotent(self):
+        # the degraded plant: string unstable at the escalated time gap too
+        # (sup |Gamma| 1.077 at tau* = 2), so the second window still acts
         cfg = nominal_config()
-        d1 = evaluate(estimate(0.64, 1.33), cfg, POLICY)
+        d1 = evaluate(estimate(0.5, 1.5), cfg, POLICY)
+        assert d1.action is Action.UPDATE_LOWER_AND_TIME_GAP
         cfg2 = apply_decision(cfg, d1)
-        d2 = evaluate(estimate(0.64, 1.33), cfg2, POLICY)
+        d2 = evaluate(estimate(0.5, 1.5), cfg2, POLICY)
         # the time gap is already raised: only the lower level refreshes
         assert d2.action is Action.UPDATE_LOWER
         assert d2.new_config.tau_star == cfg2.tau_star

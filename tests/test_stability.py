@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cfmonitor import harness
 from cfmonitor.cli import main
@@ -80,7 +80,20 @@ class TestStringStability:
                      K_L_nominal=1.0)
         v = assess(cfg)
         assert v.string_margins == (1.0, 1.0, 0.0)
-        assert not v.string_stable  # strict inequality: exactly zero fails
+        # Gamma is 0 at every frequency: string stable, although margin 8,
+        # exactly zero, fails its strict inequality
+        assert v.string_stable
+
+    def test_negative_spacing_gain_box_not_string_stable(self):
+        # margins 6-8 all read 1.0, but sup |Gamma(jw)| is 1.06 at K_L = 3,
+        # at both lag bounds
+        cfg = ControllerConfig(k_s=-1.0, k_v=1.0, k_a=0.0, tau_star=1.0,
+                               K_L_bounds=(1.0, 3.0), K_L_nominal=1.0)
+        v = assess(cfg)
+        assert v.string_margins == (1.0, 1.0, 1.0)
+        assert not v.string_stable
+        reg = stability_region("k_s", np.array([-1.0]), "k_v", np.array([1.0]), cfg)
+        assert not reg.string_stable[0, 0]
 
 
 bounded = st.floats(min_value=-3.0, max_value=3.0,
@@ -108,6 +121,27 @@ def corners(cfg):
     return [(K, T) for K in cfg.K_L_bounds for T in cfg.T_L_bounds]
 
 
+def gain_excess(cfg, K, T):
+    """The largest ``(|Gamma(jw)|^2 - 1) / min(w^2, 1)`` over 20001
+    log-spaced w in [1e-4, 1e4], refined on 2001 more between the peak's
+    neighbours.  Its sign says whether |Gamma| exceeds 1 anywhere; the
+    division keeps it off 0 as w -> 0, where |Gamma| -> 1 whenever k_s is
+    not 0.  A pole on the grid (a loop on the edge of local stability)
+    counts as an infinite excess."""
+    def excess(w):
+        s = 1j * w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = K * (cfg.k_v * s + cfg.k_s) / np.polyval(cubic(cfg, K, T), s)
+            e = (np.abs(gamma) ** 2 - 1) / np.minimum(w**2, 1)
+        return np.nan_to_num(e, nan=np.inf)
+
+    w = np.logspace(-4, 4, 20001)
+    e = excess(w)
+    i = int(e.argmax())
+    fine = np.linspace(w[max(i - 1, 0)], w[min(i + 1, len(w) - 1)], 2001)
+    return max(e[i], excess(fine).max())
+
+
 class TestProperties:
     @given(k_s=bounded, k_v=bounded, k_a=bounded,
            tau=st.floats(0.1, 3.0), t_lo=st.floats(0.05, 1.0),
@@ -123,7 +157,8 @@ class TestProperties:
         assert verdict.local_margins == pytest.approx(local, abs=1e-12)
         assert verdict.string_margins == pytest.approx(string, abs=1e-12)
         assert verdict.locally_stable == all(m > 0 for m in local)
-        assert verdict.string_stable == all(m > 0 for m in string)
+        # the string verdict is not margins 6-8 but the exact condition at
+        # each corner: TestOracles checks it against the frequency response
 
     @given(t_lo=st.floats(0.05, 1.0), k_lo=st.floats(0.3, 1.2))
     @settings(max_examples=50)
@@ -184,6 +219,22 @@ class TestOracles:
         for K, T in corners(cfg):
             gamma = K * (cfg.k_v * s + cfg.k_s) / np.polyval(cubic(cfg, K, T), s)
             assert np.abs(gamma).max() <= 1 + 1e-9, (K, T)
+
+
+    # both signs of k_s (the verdict once failed on a negative one), lags
+    # and gain spans wide enough for either verdict; |k_s| is kept from 0,
+    # where |Gamma| exceeds 1 only below the grid's lowest frequency
+    @given(k_s=st.floats(0.05, 3.0) | st.floats(-1.5, -0.05), k_v=st.floats(0.0, 3.0),
+           k_a=st.floats(-2.0, 1.0), tau=st.floats(0.1, 3.0),
+           t_lo=st.floats(0.02, 1.0), t_span=st.floats(0.0, 1.0),
+           k_lo=st.floats(0.3, 1.2), k_span=st.floats(0.0, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_string_verdict_is_corner_gain(self, **gains):
+        cfg = box(**gains)
+        excess = max(gain_excess(cfg, K, T) for K, T in corners(cfg))
+        # within 1e-7 of 0 the grid cannot tell
+        assume(abs(excess) > 1e-7)
+        assert assess(cfg).string_stable == (excess < 0)
 
 
 class TestVerdict:
