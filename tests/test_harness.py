@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cfmonitor import harness, plant
+from cfmonitor.cli import main
 from cfmonitor.estimator import SgldHyper
 from cfmonitor.harness import (
     LeaderSegment,
@@ -389,6 +391,114 @@ class TestForked:
                     raise KeyError("the block failed")
                 assert wait() == 1
         assert os.sched_getaffinity(0) == cpus
+        assert_no_children()
+
+
+class TestPrefetchedDraws:
+    """The closed loop's SGLD chains, whose inputs a forked helper once made
+    ahead, draw their own in process: a run's artifacts and exit codes do
+    not depend on whether the harness can fork, and only the float-table
+    writer forks."""
+
+    @pytest.fixture
+    def config(self, tmp_path, forks):
+        """A 12 s leader (six windows) and a switch at 6 s; the chain runs
+        1100 iterations, or 300 on a minibatch the size of the window.
+        Windows 0 and 2, at constant leader speed, are not sampled.  The
+        fork that writes the leader's file is not counted as the run's."""
+        def write(text):
+            save_trajectory(synthetic_leader(SyntheticLeaderSpec(segments=(
+                LeaderSegment(3.0, 0.0), LeaderSegment(3.0, -1.0),
+                LeaderSegment(3.0, 1.0), LeaderSegment(3.0, 0.0)))),
+                tmp_path / "leader.csv")
+            forks.clear()
+            path = tmp_path / "run.cfg"
+            path.write_text(f"leader.source = {tmp_path / 'leader.csv'}\n"
+                            f"plant.switch_time = 6\n{text}")
+            return path
+        return write
+
+    @staticmethod
+    def simulate(cfg, out):
+        """Exit code and stderr of ``cfmonitor simulate``, which leaves this
+        thread's CPU set as it found it."""
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        if cpus is not None:
+            assert os.sched_getaffinity(0) == cpus
+        return code, err.getvalue()
+
+    @staticmethod
+    def assert_same_artifacts(a, b):
+        """Both run directories hold the seven artifacts, byte for byte alike."""
+        names = sorted(os.listdir(a))
+        assert len(names) == 7 and names == sorted(os.listdir(b))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n",
+                                      "sgld.K_iters = 300\nsgld.minibatch_n = 200\n"])
+    @pytest.mark.parametrize("no_prefetch", ["one_cpu", "no_fork", "fork_fails"])
+    def test_artifacts_equal_in_process_draws(self, tmp_path, monkeypatch, forks,
+                                              assert_no_children, config, sgld,
+                                              no_prefetch):
+        cfg = config(sgld)
+        assert self.simulate(cfg, tmp_path / "forked") == (0, "")
+        # the writer forks for the 1200-row trajectory tables, which span
+        # three blocks, and writes the six-row timeline in process
+        assert forks == ["write_csv_columns"]
+        counts = [json.loads(line)["sample_count"] for line in
+                  (tmp_path / "forked" / "estimates.jsonl").read_text().splitlines()]
+        assert [count > 0 for count in counts] == [False, True, False, True, True, True]
+        if no_prefetch == "one_cpu":
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        elif no_prefetch == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+        assert self.simulate(cfg, tmp_path / "in_process") == (0, "")
+        assert forks == ["write_csv_columns"]
+        self.assert_same_artifacts(tmp_path / "forked", tmp_path / "in_process")
+        assert_no_children()
+
+    def test_child_failure_exits_4(self, tmp_path, monkeypatch, forks,
+                                   assert_no_children, config):
+        cfg = config("sgld.K_iters = 1100\n")
+        # the writer's child fails after every chain has run
+        parent = os.getpid()
+        real_format_blocks = harness._format_blocks
+
+        def format_blocks(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return real_format_blocks(*args)
+
+        monkeypatch.setattr(harness, "_format_blocks", format_blocks)
+        code, err = self.simulate(cfg, tmp_path / "out")
+        assert code == 4
+        assert err.startswith("I/O error: failed writing outputs under")
+        assert forks == ["write_csv_columns"]
+        assert_no_children()
+
+    def test_diverged_chain_exits_2(self, tmp_path, forks, assert_no_children,
+                                    config):
+        code, err = self.simulate(config("sgld.K_iters = 1100\nsgld.minibatch_n = 1\n"
+                                         "sgld.eta_1 = 1.9\n"), tmp_path / "out")
+        assert code == 2 and "SGLD chain diverged" in err
+        # the run ends before any output is written
+        assert forks == []
+        assert not (tmp_path / "out").exists()
+        assert_no_children()
+
+    def test_collision_mid_run_reaps_child(self, forks, assert_no_children):
+        # a run cut short by a collision leaves no process behind
+        report = run_closed_loop(COLLIDING)
+        assert report.collision_time is not None and report.windows
+        assert forks == []
         assert_no_children()
 
 
