@@ -31,7 +31,7 @@ __all__ = [
 # parameter vector ordering is (K_L, T_L) throughout
 
 # Iterations whose Langevin noise is turned into Python floats, and whose
-# minibatch indices are drawn, at a time, so memory stays flat in K_iters.
+# minibatch indices are drawn, at a time (the noise array itself is whole).
 _CHUNK = 256
 # The step of the whole-window chain, in units of the metric at the mode.
 # With the noise scaled by sqrt(h (2 - h)) the step keeps a Gaussian
@@ -47,8 +47,10 @@ _NEWTON_TOL = 1e-10
 # credible bounds (the prior's own central interval)
 _Z95 = 1.959964
 
-_DIVERGED = ("SGLD chain diverged (K_L or T_L left the positive floats); "
-             "reduce sgld.eta_1 or raise sgld.minibatch_n")
+# a diverged chain's message names what to change for the step it took
+_DIVERGED = "SGLD chain diverged (K_L or T_L left the positive floats); "
+_DIVERGED_WINDOW = _DIVERGED + "narrow the prior or give the window more samples"
+_DIVERGED_MINIBATCH = _DIVERGED + "reduce sgld.eta_1 or raise sgld.minibatch_n"
 
 
 @dataclass(frozen=True)
@@ -417,7 +419,7 @@ def sgld_run(
     excitation to identify both parameters (see `_identifiability`; only
     when ``fix_lag`` is None) or when the mode search finds no
     positive-definite curvature.  A chain that leaves the positive floats
-    raises ``ValueError``.
+    raises ``ValueError``, whose message says which step drove it out.
     """
     free_T = fix_lag is None
     if not (free_T or 0 < fix_lag < math.inf):
@@ -458,6 +460,7 @@ def sgld_run(
     burn = hyper.burn_in
     samples = np.empty((hyper.K_iters - burn, 2))
     exp = math.exp
+    diverged = _DIVERGED_MINIBATCH if minibatch else _DIVERGED_WINDOW
     try:
         for start in range(0, hyper.K_iters, _CHUNK):
             chunk = normals[start:start + _CHUNK]
@@ -494,10 +497,10 @@ def sgld_run(
                 samples[lo - burn:start + m - burn].reshape(-1)[:] = flat[2 * (lo - start):]
     except (OverflowError, ZeroDivisionError):
         # exp() overflowed, or T_L underflowed to 0 and K / T divided by it
-        raise ValueError(_DIVERGED) from None
+        raise ValueError(diverged) from None
     # a chain that underflowed to 0 or went NaN raises nothing on the way
     if not (np.isfinite(samples).all() and (samples > 0).all()):
-        raise ValueError(_DIVERGED)
+        raise ValueError(diverged)
 
     return posterior_summary(samples)
 

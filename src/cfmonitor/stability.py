@@ -76,41 +76,55 @@ def _margin_arrays(k_s, k_v, k_a, tau, t_hi, k_lo, k_hi):
     return local, string
 
 
-def _string_stable(k_s, k_v, k_a, tau, t_bounds, k_bounds):
-    """Exact string stability at the four (K_L, T_L) corners, vectorized
-    over the gain/time-gap arguments.  With ``c = k_s tau + k_v``, the gain
-    ``|Gamma(jw)|`` of ``Gamma(s) = K (k_v s + k_s) / (T s^3 + (1 - K k_a)
-    s^2 + K c s + K k_s)`` is at most 1 at every w exactly when ``T^2 x^2
-    + b x + a >= 0`` for every ``x = w^2 >= 0``, with ``a = K (K (c^2 -
-    k_v^2) + 2 K k_s k_a - 2 k_s)`` and ``b = (1 - K k_a)^2 - 2 K T c``:
-    that is, ``a >= 0`` and (``b >= 0`` or ``b^2 < 4 T^2 a``).  NaN, which
-    only overflowing input gives, is not stable."""
-    combo = k_s * tau + k_v
-    stable = True
-    for K in k_bounds:
-        a = K * (K * (_square(combo) - _square(k_v) + 2.0 * k_s * k_a) - 2.0 * k_s)
-        for T in t_bounds:
-            b = _square(1.0 - K * k_a) - 2.0 * K * T * combo
-            stable = stable & (a >= 0) & ((b >= 0) | (_square(b) < 4.0 * T * T * a))
-    return stable
+def _string_stable(k_s, k_v, k_a, tau, t_hi, k_lo, k_hi):
+    """Whether ``|Gamma(jw)| <= 1`` at every w for every plant of the box,
+    vectorized over the gain/time-gap arguments; NaN is not stable.  For
+    one plant that is ``P = T^2 x^2 + b x + a >= 0`` at every ``x = w^2 >=
+    0``, with ``c = k_s tau + k_v``, ``A = c^2 - k_v^2 + 2 k_s k_a``, ``a =
+    K (K A - 2 k_s)`` and ``b = (1 - K k_a)^2 - 2 K T c``.  At a fixed ``v =
+    T x``, P falls as T grows, so T_hi binds.  In K, P is ``(k_a^2 x + A)
+    K^2 - 2 (p x + k_s) K + T^2 x^2 + x`` with ``p = k_a + T c``: least at a
+    gain bound or at its vertex, whose value has the sign of ``D(x) = q x^3
+    + B x^2 + C x - k_s^2``.  Over the x whose vertex lies between the
+    bounds, D is least at its local minimum or at an end of that range:
+    where the vertex meets a bound, whose own test decides, or x = 0, where
+    P is ``a``, and ``a / K``, linear in K, is not negative at the bounds."""
+    with np.errstate(all="ignore"):
+        k_s, k_v, k_a, tau = (np.asarray(v, dtype=float) for v in (k_s, k_v, k_a, tau))
+        T = float(t_hi)
+        combo = k_s * tau + k_v
+        A = combo * combo - k_v * k_v + 2.0 * k_s * k_a
+        stable = np.bool_(True)
+        for K in (float(k_lo), float(k_hi)):
+            a = K * (K * A - 2.0 * k_s)
+            b = (1.0 - K * k_a) ** 2 - 2.0 * K * T * combo
+            stable = stable & (a >= 0) & ((b >= 0) | (b * b < 4.0 * T * T * a))
+        p = k_a + T * combo
+        q = k_a * k_a * T * T
+        B = k_a * k_a + A * T * T - p * p
+        C = A - 2.0 * k_s * p
+        d = np.sqrt(B * B - 3.0 * q * C)
+        # D's local minimum, the larger root of 3 q x^2 + 2 B x + C, in the
+        # form that does not cancel; NaN or inf where D has none
+        x = np.where(B > 0, -C / (B + d), (d - B) / (3.0 * q))
+        alpha, vertex = k_a * k_a * x + A, p * x + k_s
+        inside = (x >= 0) & (k_lo * alpha < vertex) & (vertex < k_hi * alpha)
+        D = ((q * x + B) * x + C) * x - k_s * k_s
+    return stable & ~(inside & (D < 0))
 
 
 def assess(cfg: ControllerConfig) -> StabilityVerdict:
     """The five local and three string margins of ``cfg`` and both
     verdicts.  Local margins are strict: zero or NaN counts as not
-    satisfied.  The string verdict is `_string_stable` at the corners of
-    the bounds, which margins 6-8 only bound."""
-    local, string = _margin_arrays(
-        cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star,
-        cfg.T_L_bounds[1], cfg.K_L_bounds[0], cfg.K_L_bounds[1],
-    )
+    satisfied.  The string verdict is `_string_stable` over the whole box,
+    which margins 6-8 only bound."""
+    box = (cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star, cfg.T_L_bounds[1],
+           *cfg.K_L_bounds)
+    local, string = _margin_arrays(*box)
     local = tuple(float(m) for m in local)
     string = tuple(float(m) for m in string)
-    # on Python floats, whose squares `_square` keeps from overflowing
-    exact = _string_stable(float(cfg.k_s), float(cfg.k_v), float(cfg.k_a),
-                           float(cfg.tau_star), tuple(map(float, cfg.T_L_bounds)),
-                           tuple(map(float, cfg.K_L_bounds)))
-    return StabilityVerdict(all(m > 0 for m in local), bool(exact), local + string)
+    return StabilityVerdict(all(m > 0 for m in local), bool(_string_stable(*box)),
+                            local + string)
 
 
 @dataclass
@@ -170,12 +184,10 @@ def stability_region(
 
     # huge fixed gains overflow to inf/NaN margins, which fail the verdicts
     with np.errstate(over="ignore", invalid="ignore"):
-        local, string = _margin_arrays(
-            vals["k_s"], vals["k_v"], vals["k_a"], vals["tau_star"],
-            fixed.T_L_bounds[1], fixed.K_L_bounds[0], fixed.K_L_bounds[1],
-        )
-        exact = _string_stable(vals["k_s"], vals["k_v"], vals["k_a"],
-                               vals["tau_star"], fixed.T_L_bounds, fixed.K_L_bounds)
+        box = (vals["k_s"], vals["k_v"], vals["k_a"], vals["tau_star"],
+               fixed.T_L_bounds[1], *fixed.K_L_bounds)
+        local, string = _margin_arrays(*box)
+        exact = _string_stable(*box)
     margins = np.stack(
         [np.broadcast_to(m, g1.shape) for m in local + string], axis=-1
     ).astype(float)

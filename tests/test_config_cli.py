@@ -720,7 +720,8 @@ class TestFreshInterpreter:
 # messages of the errors a run can end with after its configuration was
 # accepted; each names what to change
 IN_RUN_ERRORS = (
-    "reduce sgld.eta_1 or raise sgld.minibatch_n",  # a diverging chain
+    "reduce sgld.eta_1 or raise sgld.minibatch_n",  # a diverging minibatch chain
+    "narrow the prior or give the window more samples",  # ... whole-window chain
     "the likelihood sums overflow",
     "the explicit Euler step would diverge",
     "outside trajectory span",

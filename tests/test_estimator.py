@@ -586,6 +586,29 @@ class TestSgldRun:
         with pytest.raises(ValueError, match="reduce sgld.eta_1 or raise sgld.minibatch_n"):
             sgld_run(batch, WIDE_PRIOR, SgldHyper(seed=seed, **kwargs))
 
+    @pytest.mark.parametrize("accel,demand,jerk,prior,sigma_sq,seed", [
+        # OverflowError in exp(): three samples whose jerk the model does
+        # not explain, under a wide prior
+        ([-0.00184644, -0.00543463, 0.00105635],
+         [0.11072619, -0.20328097, 0.03553647],
+         [-3.09329083, 1.88006886, 1.42334356],
+         GaussianPrior((5.1625, 2.4415), 24.735), 4.217e-4, 2025),
+        # ZeroDivisionError: T_L underflowed
+        ([-0.00355512, 0.00187134, -0.01731994, 0.00412521, -0.03186798,
+          0.01565098, -0.00096457],
+         [-0.10514152, 0.03205789, -0.20864682, -0.28018183, 0.00283723,
+          0.33719577, 0.15596588],
+         [0.57409062, -0.20932779, 0.46228549, -0.21072732, 0.36338345,
+          -1.0488948, 0.5239666],
+         GaussianPrior((2.7606, 0.7447), 481.15), 4.4747e-3, 2799),
+    ])
+    def test_whole_window_divergence_rejected(self, accel, demand, jerk, prior,
+                                              sigma_sq, seed):
+        batch = ObservationBatch(np.array(accel), np.array(demand), np.array(jerk))
+        with pytest.raises(ValueError, match="narrow the prior or give the window "
+                                             "more samples"):
+            sgld_run(batch, prior, SgldHyper(sigma_sq=sigma_sq, seed=seed))
+
     def test_memory_flat_in_iterations(self):
         batch = synthetic_batch(1.0, 0.3, n=200, seed=9)
         for minibatch_n in (None, 32):
@@ -601,7 +624,12 @@ class TestSgldRun:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            assert peaks[1] - peaks[0] < 1_000_000
+            # only float arrays grow: the noise by 16 bytes an iteration,
+            # the kept samples with the summary's copies of them by 4 x 16
+            # bytes a sample; no Python object per iteration outlives its
+            # chunk, nor does a chunk's minibatch gather
+            grown = 16 * 21_000 + 4 * 16 * 8_400
+            assert peaks[1] - peaks[0] < grown + 100_000
 
     def test_fixed_lag_freezes_second_coordinate(self):
         batch = synthetic_batch(1.0, 0.3, n=200, seed=8)
