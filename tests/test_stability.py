@@ -251,7 +251,7 @@ class TestOracles:
            k_a=st.floats(-2.0, 1.0), tau=st.floats(0.1, 3.0),
            t_lo=st.floats(0.02, 1.0), t_span=st.floats(0.0, 1.0),
            k_lo=st.floats(0.2, 1.2), k_span=st.floats(0.0, 4.0))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_string_verdict_is_box_gain(self, **gains):
         cfg = box(**gains)
         excess = max(gain_excess(cfg, K, T) for K, T in plants(cfg, 15))
