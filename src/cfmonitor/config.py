@@ -154,12 +154,9 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
 
         s = base.sgld
         sgld = SgldHyper(
-            eta_1=_pop_float(values, "sgld.eta_1", s.eta_1),
             K_iters=_pop_int(values, "sgld.K_iters", s.K_iters),
             burn_in_c=(None if "sgld.burn_in_c" not in values
                        else _pop_int(values, "sgld.burn_in_c", 0)),
-            minibatch_n=(None if "sgld.minibatch_n" not in values
-                         else _pop_int(values, "sgld.minibatch_n", 0)),
             sigma_sq=_pop_float(values, "sgld.sigma_sq", s.sigma_sq),
         )
 

@@ -11,7 +11,7 @@ regularization level), so history enters only through the prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -31,7 +31,8 @@ __all__ = [
 # parameter vector ordering is (K_L, T_L) throughout
 
 # Iterations whose Langevin noise is turned into Python floats, and whose
-# minibatch indices are drawn, at a time (the noise array itself is whole).
+# iterates are kept as Python floats, at a time (the noise array itself is
+# whole).
 _CHUNK = 256
 # The step of the whole-window chain, in units of the metric at the mode.
 # With the noise scaled by sqrt(h (2 - h)) the step keeps a Gaussian
@@ -46,11 +47,6 @@ _NEWTON_TOL = 1e-10
 # the standard normal's two-sided 95 % point, for an unsampled window's
 # credible bounds (the prior's own central interval)
 _Z95 = 1.959964
-
-# a diverged chain's message names what to change for the step it took
-_DIVERGED = "SGLD chain diverged (K_L or T_L left the positive floats); "
-_DIVERGED_WINDOW = _DIVERGED + "narrow the prior or give the window more samples"
-_DIVERGED_MINIBATCH = _DIVERGED + "reduce sgld.eta_1 or raise sgld.minibatch_n"
 
 
 @dataclass(frozen=True)
@@ -126,27 +122,25 @@ class GaussianPrior:
 @dataclass(frozen=True)
 class SgldHyper:
     """Sampler settings.  Iterates after ``burn_in`` are retained as
-    posterior samples.  ``minibatch_n`` None (the default) steps on the
-    whole window; a smaller minibatch steps by ``eta_1``, in units of the
-    metric at the mode, which is its only use."""
+    posterior samples.  The chain always steps on the whole window.
 
-    eta_1: float = 0.05
+    ``eta_1`` is accepted, for callers that still pass it, and has no
+    effect.  ``minibatch_n`` may be None (the default) or at least the
+    window's sample count, both meaning the whole window; `sgld_run`
+    rejects a smaller one."""
+
+    eta_1: InitVar[float | None] = None
     K_iters: int = 1000
     burn_in_c: int | None = None  # default: 60% of K_iters
-    minibatch_n: int | None = None  # default: the whole window
+    minibatch_n: int | None = None
     sigma_sq: float = 0.01
     seed: int = 0
 
-    def __post_init__(self):
-        # a step of 2 or more has no stationary distribution
-        if not 0 < self.eta_1 < 2:
-            raise ValueError("eta_1 must lie in (0, 2)")
+    def __post_init__(self, eta_1):
         if not 0 < self.burn_in <= self.K_iters - 2:
             raise ValueError("sgld.burn_in_c (by default 60 % of sgld.K_iters) "
                              "must lie in [1, sgld.K_iters - 2], so that the "
                              "chain keeps at least 2 samples")
-        if self.minibatch_n is not None and self.minibatch_n < 1:
-            raise ValueError("minibatch_n must be at least 1")
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
 
@@ -208,25 +202,16 @@ class _WindowStats:
         return g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
 
 
-def _products(batch: ObservationBatch) -> np.ndarray:
-    """Per-sample products (jj, ju, uu, au, ja, aa), shape (n, 6)."""
+def _window_stats(batch: ObservationBatch, sigma_sq: float) -> _WindowStats:
+    """The batch's `_WindowStats`.  Observations so large that a sum
+    overflows raise ``ValueError``."""
     a, u, j = batch.accel, batch.demand, batch.jerk
-    return np.column_stack([j * j, j * u, u * u, a * u, j * a, a * a])
-
-
-def _overflow_checked(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError("observations too large: the likelihood sums overflow")
-    return values
-
-
-def _window_stats(batch: ObservationBatch, sigma_sq: float,
-                  scale: float = 1.0) -> _WindowStats:
-    """The batch's `_WindowStats`, its sums times ``scale``.  Observations
-    so large that a sum overflows raise ``ValueError``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _products(batch).sum(axis=0) * (scale / sigma_sq)
-    return _WindowStats(len(batch), *_overflow_checked(sums).tolist())
+        products = np.column_stack([j * j, j * u, u * u, a * u, j * a, a * a])
+        sums = products.sum(axis=0) * (1.0 / sigma_sq)
+    if not np.isfinite(sums).all():
+        raise ValueError("observations too large: the likelihood sums overflow")
+    return _WindowStats(len(batch), *sums.tolist())
 
 
 def log_posterior(
@@ -247,41 +232,14 @@ def grad_log_posterior(
     theta,
     prior: GaussianPrior,
     sigma_sq: float,
-    n_total: int | None = None,
 ) -> np.ndarray:
     """Analytic gradient of the log posterior in (K_L, T_L), from the
-    batch's `_WindowStats`, as the sampler computes it.
-
-    When ``batch`` is a minibatch, ``n_total`` rescales the likelihood sum
-    to the full-batch size.
-    """
+    batch's `_WindowStats`, as the sampler computes it."""
     K_L, T_L = theta
     if T_L <= 0:
         raise ValueError("T_L must be positive")
-    scale = 1.0 if n_total is None else n_total / len(batch)
-    g_lik = _window_stats(batch, sigma_sq, scale).gradient(K_L, T_L)
+    g_lik = _window_stats(batch, sigma_sq).gradient(K_L, T_L)
     return prior.grad_log_density(theta) + np.array(g_lik)
-
-
-def _draw_minibatches(uniforms: np.ndarray, n: int) -> np.ndarray:
-    """Independent uniform k-subsets of range(n), one per column of the
-    (k, count) array of uniforms on [0, 1); the result has the same shape.
-
-    Floyd's algorithm, vectorised over subsets: row c takes t uniformly
-    from [0, n - k + c] and n - k + c instead where t is already among rows
-    0..c-1.  Each column depends only on its own uniforms.
-    """
-    k = len(uniforms)
-    # floor(U * m) with a 53-bit U is uniform on range(m) to within m/2**53.
-    # The narrowest integers that hold every index cut the row loop's cost:
-    # int16 below 2**15 samples, else int32, which holds every index of a
-    # batch under 2**31 samples, whose products alone would fill 80 GB
-    dtype = np.int16 if n < 2**15 else np.int32
-    draws = (uniforms * np.arange(n - k + 1, n + 1)[:, None]).astype(dtype)
-    for c in range(1, k):
-        row = draws[c]
-        row[(draws[:c] == row).any(axis=0)] = n - k + c
-    return draws
 
 
 def _identifiability(batch: ObservationBatch) -> bool:
@@ -405,25 +363,26 @@ def sgld_run(
     structural; the log-volume term is included so retained samples follow
     the (K_L, T_L) posterior itself).  It starts at the mode that `_mode`
     finds from the least-squares point (`_start`), and steps
-    ``phi += h M grad + sqrt(h (2 - h)) L z``, where ``M`` is the inverse
-    of minus the Hessian at the mode, ``L`` its Cholesky factor and ``z``
-    standard normal.  On the whole window ``h`` is ``_H``; with
-    ``hyper.minibatch_n`` below the window's sample count the gradient
-    comes from a fresh minibatch each iteration, scaled to the window, and
-    ``h`` is ``hyper.eta_1``.  ``fix_lag`` freezes T_L at the given value
-    and samples K_L only.  Deterministic given ``hyper.seed``: the noise is
-    one draw, then each chunk's minibatch indices, if any.
+    ``phi += h M grad + sqrt(h (2 - h)) L z`` on the whole window's sums,
+    where ``h`` is ``_H``, ``M`` is the inverse of minus the Hessian at the
+    mode, ``L`` its Cholesky factor and ``z`` standard normal.  ``fix_lag``
+    freezes T_L at the given value and samples K_L only.  Deterministic
+    given ``hyper.seed``: the noise is one draw.  A ``hyper.minibatch_n``
+    below the window's sample count raises ``ValueError``.
 
     A window is not sampled, and the estimate is the prior itself (see
     `_prior_estimate`), flagged ``low_confidence``, when it lacks the
     excitation to identify both parameters (see `_identifiability`; only
-    when ``fix_lag`` is None) or when the mode search finds no
-    positive-definite curvature.  A chain that leaves the positive floats
-    raises ``ValueError``, whose message says which step drove it out.
+    when ``fix_lag`` is None), when the mode search finds no
+    positive-definite curvature, or when the chain leaves the positive
+    floats (K_L or T_L overflows, underflows to 0 or turns NaN).
     """
     free_T = fix_lag is None
     if not (free_T or 0 < fix_lag < math.inf):
         raise ValueError("fix_lag must be positive and finite")
+    if hyper.minibatch_n is not None and hyper.minibatch_n < len(batch):
+        raise ValueError(f"minibatch_n {hyper.minibatch_n} is below the window's "
+                         f"{len(batch)} samples; the chain steps on the whole window")
     # checked on a window that is not sampled too, so that overflowing
     # observations are an error whatever their excitation
     stats = _window_stats(batch, hyper.sigma_sq)
@@ -434,23 +393,15 @@ def sgld_run(
         return _prior_estimate(prior)
     phi_K, phi_T, a, b, c = mode
 
-    n, k = len(batch), hyper.minibatch_n
-    minibatch = k is not None and k < n
-    h = hyper.eta_1 if minibatch else _H
     # M = [[a, b], [b, c]]^-1 and its Cholesky factor, scaled by the step
     # and by the noise's sqrt(h (2 - h))
+    h = _H
     det = a * c - b * b
     s = math.sqrt(h * (2.0 - h))
     hm_KK, hm_KT, hm_TT = h * c / det, -h * b / det, h * a / det
     l_KK, l_TK, l_TT = (s * math.sqrt(c / det), -s * b / math.sqrt(c * det),
                         s / math.sqrt(c))
-    if minibatch:
-        # the five gradient products of each sample, scaled so that a
-        # minibatch's sums are the window's likelihood sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = _products(batch)[:, 1:] * (n / (k * hyper.sigma_sq))
-        scaled = _overflow_checked(scaled)
-    full = [stats.ju, stats.uu, stats.au, stats.ja, stats.aa]
+    s_ju, s_uu, s_au, s_ja, s_aa = stats.ju, stats.uu, stats.au, stats.ja, stats.aa
 
     rng = np.random.default_rng(hyper.seed)
     normals = rng.standard_normal((hyper.K_iters, 2 if free_T else 1))
@@ -460,21 +411,12 @@ def sgld_run(
     burn = hyper.burn_in
     samples = np.empty((hyper.K_iters - burn, 2))
     exp = math.exp
-    diverged = _DIVERGED_MINIBATCH if minibatch else _DIVERGED_WINDOW
     try:
         for start in range(0, hyper.K_iters, _CHUNK):
             chunk = normals[start:start + _CHUNK]
             m = len(chunk)
-            if minibatch:
-                # the same (k, m, 5) gather as scaled[cols], at a fraction
-                # of fancy indexing's cost
-                cols = _draw_minibatches(rng.random((k, m)), n)
-                sums = np.take(scaled, cols, axis=0).sum(axis=0).tolist()
-            else:
-                sums = [full] * m
             flat = []  # the chunk's iterates as K, T, K, T, ...
-            for (s_ju, s_uu, s_au, s_ja, s_aa), z_K, z_T in zip(
-                    sums, chunk[:, 0].tolist(), chunk[:, -1].tolist()):
+            for z_K, z_T in zip(chunk[:, 0].tolist(), chunk[:, -1].tolist()):
                 # the likelihood gradient in phi from the five sums (see
                 # `_log_target`), plus the prior's and the log-volume term
                 alpha, beta = K / T, 1.0 / T
@@ -497,10 +439,10 @@ def sgld_run(
                 samples[lo - burn:start + m - burn].reshape(-1)[:] = flat[2 * (lo - start):]
     except (OverflowError, ZeroDivisionError):
         # exp() overflowed, or T_L underflowed to 0 and K / T divided by it
-        raise ValueError(diverged) from None
+        return _prior_estimate(prior)
     # a chain that underflowed to 0 or went NaN raises nothing on the way
     if not (np.isfinite(samples).all() and (samples > 0).all()):
-        raise ValueError(diverged)
+        return _prior_estimate(prior)
 
     return posterior_summary(samples)
 

@@ -402,10 +402,9 @@ class TestPrefetchedDraws:
 
     @pytest.fixture
     def config(self, tmp_path, forks):
-        """A 12 s leader (six windows) and a switch at 6 s; the chain runs
-        1100 iterations, or 300 on a minibatch the size of the window.
-        Windows 0 and 2, at constant leader speed, are not sampled.  The
-        fork that writes the leader's file is not counted as the run's."""
+        """A 12 s leader (six windows) and a switch at 6 s.  Windows 0 and 2,
+        at constant leader speed, are not sampled.  The fork that writes the
+        leader's file is not counted as the run's."""
         def write(text):
             save_trajectory(synthetic_leader(SyntheticLeaderSpec(segments=(
                 LeaderSegment(3.0, 0.0), LeaderSegment(3.0, -1.0),
@@ -438,8 +437,7 @@ class TestPrefetchedDraws:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n",
-                                      "sgld.K_iters = 300\nsgld.minibatch_n = 200\n"])
+    @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n"])
     @pytest.mark.parametrize("no_prefetch", ["one_cpu", "no_fork", "fork_fails"])
     def test_artifacts_equal_in_process_draws(self, tmp_path, monkeypatch, forks,
                                               assert_no_children, config, sgld,
@@ -484,14 +482,22 @@ class TestPrefetchedDraws:
         assert forks == ["write_csv_columns"]
         assert_no_children()
 
-    def test_diverged_chain_exits_2(self, tmp_path, forks, assert_no_children,
-                                    config):
-        code, err = self.simulate(config("sgld.K_iters = 1100\nsgld.minibatch_n = 1\n"
-                                         "sgld.eta_1 = 1.9\n"), tmp_path / "out")
-        assert code == 2 and "SGLD chain diverged" in err
-        # the run ends before any output is written
-        assert forks == []
-        assert not (tmp_path / "out").exists()
+    def test_diverged_chain_keeps_prior(self, tmp_path, forks, assert_no_children,
+                                        config):
+        # 0.5 s windows: the chains of windows 19 and 23 leave the positive
+        # floats (an OverflowError and a ZeroDivisionError); each window
+        # keeps its prior, unsampled, and the run writes its outputs
+        code, err = self.simulate(config("window.length = 0.5\n"), tmp_path / "out")
+        assert (code, err) == (0, "")
+        assert forks == ["write_csv_columns"]
+        estimates, decisions = ([json.loads(line) for line in
+                                 (tmp_path / "out" / name).read_text().splitlines()]
+                                for name in ("estimates.jsonl", "decisions.jsonl"))
+        assert len(estimates) == len(decisions) == 24
+        for w in (19, 23):
+            assert estimates[w]["sample_count"] == 0 and estimates[w]["low_confidence"]
+            assert list(estimates[w]["posterior_mean"].values()) == estimates[w]["prior_mean"]
+            assert not decisions[w]["applied"]
         assert_no_children()
 
     def test_collision_mid_run_reaps_child(self, forks, assert_no_children):
