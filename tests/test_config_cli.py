@@ -215,6 +215,9 @@ class TestConfigHoles:
         # minibatch size and its step with the minibatch chain
         ("sgld.max_drift = 0.1", "unknown config keys: ['sgld.max_drift']"),
         ("sgld.eta_1 = 0.05", "unknown config keys: ['sgld.eta_1']"),
+        # so are the values eta_1's own range and finite checks refused
+        ("sgld.eta_1 = 2", "unknown config keys: ['sgld.eta_1']"),
+        ("sgld.eta_1 = NaN", "unknown config keys: ['sgld.eta_1']"),
         ("sgld.minibatch_n = 32", "unknown config keys: ['sgld.minibatch_n']"),
     ])
     def test_rejected_with_exit_2(self, tmp_path, capsys, line, message):

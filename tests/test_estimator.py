@@ -272,11 +272,17 @@ class TestGradients:
 
 class TestSgldHyper:
     @pytest.mark.parametrize("kwargs", [
+        {"sigma_sq": -1.0},
         {"K_iters": 100, "burn_in_c": 100},
         {"K_iters": 100, "burn_in_c": 0},
+        {"K_iters": 100, "burn_in_c": -1},
         {"sigma_sq": 0.0},
+        {"sigma_sq": float("-inf")},
+        # chains that keep no sample: the default burn-in is 0
+        {"K_iters": 1},
         # NaN compares false both ways, so "<= 0" let it through
         {"sigma_sq": float("nan")},
+        {"K_iters": 0},
         # chains that keep 1 sample, which no posterior summary takes
         {"K_iters": 2},
         {"K_iters": 100, "burn_in_c": 99},
