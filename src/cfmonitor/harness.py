@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -315,13 +316,15 @@ def _forked(work):
     or by an exception, is killed and reaped.
 
     Where this thread may run on two or more CPUs and the platform lets
-    them be chosen, the child keeps to all of them but the lowest and this
-    thread to the lowest, so that the scheduler does not run both on one
-    CPU, one preempting the other while a CPU idles; when the block ends,
-    however it ends, this thread's CPU set is restored.
+    them be chosen, this thread keeps to one of them and the child to the
+    others, so that the scheduler does not run both on one CPU, one
+    preempting the other while a CPU idles.  That CPU is chosen by process
+    id, so that runs started side by side, whose ids differ, do not all
+    keep to one CPU.  When the block ends, however it ends, this thread's
+    CPU set is restored.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    own = {min(cpus)} if len(cpus) >= 2 else None
+    own = {sorted(cpus)[os.getpid() % len(cpus)]} if len(cpus) >= 2 else None
     try:
         pid = os.fork()
     except OSError:
@@ -470,25 +473,233 @@ def _min_gap(leader: Trajectory, follower: plant.SimulationResult) -> float:
 # ---------------------------------------------------------------------------
 # output emission
 
-# rows formatted per block: a block's strings (up to 9 columns x 512 rows)
-# stay well under a MB, where a whole 60 000-row run would take tens of MB
-_EMIT_BLOCK = 512
+# rows formatted per block: a block's cells (48 bytes each, up to 9 columns)
+# and the float kernel's temporaries (about 240 bytes a value) take about
+# 1 MB, where a whole 60 000-row run would take tens of MB
+_EMIT_BLOCK = 2048
+# a table of more rows is split between this process and a forked helper
+_SPLIT_ROWS = 512
+# lines joined at a time: their bytes stay in the CPU caches
+_LINES = 256
+
+# a cell: 48 bytes, that is 24 two-byte slots.  Slot j's first byte holds
+# digit j of the 24-digit, zero-padded decimal integer C the kernel prints
+# (or NUL), its second byte the decimal point, the sign or NUL; byte 47
+# holds the comma after the cell.  NUL bytes are dropped when a line is
+# written, so a cell reads as its characters in order.
+_CELL_WORDS = 6
+_POW10 = np.array([float(10 ** i) for i in range(22)])  # exact
+_VELTKAMP = 2.0 ** 27 + 1  # splits a double into two 26-bit halves
+_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 
 
-def _format_blocks(sinks, tables, columns, rows, b_lo, b_hi) -> None:
-    """Write rows ``[b_lo, b_hi)`` of each table to its sink, one block at a
-    time; ``b_lo`` is a multiple of `_EMIT_BLOCK`.  A column shared by
-    several tables (the same array object) is formatted once per block."""
-    for b0 in range(b_lo, b_hi, _EMIT_BLOCK):
-        live = [(fh, cols) for fh, n, (_, _, cols) in zip(sinks, rows, tables)
-                if n > b0]
-        keys = {id(col) for _, cols in live for col in cols}
-        cells = {key: list(map(repr, columns[key][b0:b0 + _EMIT_BLOCK].tolist()))
-                 for key in keys}
-        for fh, cols in live:
-            # zip stops at the file's shortest column
-            lines = zip(*(cells[id(col)] for col in cols))
-            fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+@functools.cache  # built on first use: a run that writes no CSV needs none
+def _cell_tables():
+    """The float kernel's lookup tables, as uint64 words of 4 slots.
+
+    ``digits[g + 10000 * trailing]``: the 4-digit group ``g`` in the digit
+    bytes of 4 slots; with ``trailing`` set, its trailing zeros are NUL.
+
+    ``heads[((u * 21 + g0) * 2 + trailing) * 2 + negative]``: the cell's
+    fixed part, to be OR-ed with the digits of its groups 1-4.  C has its
+    units digit in slot u, and its leading group is g0 in slots 4-7,
+    printed without leading zeros (and, with ``trailing``, as the last
+    nonzero group, without trailing zeros).  Slots from the first digit
+    printed to the first after the point get a ``0`` (0x30) OR-ed in, so a
+    NUL left there by a zero's removal reads 0: the units digit of a
+    value below 1 and the zeros after its point, and the ``.0`` of a whole
+    number.  Slot u holds the point, and the slot before the first digit
+    the sign."""
+    numeral = np.stack(np.indices((10,) * 4, np.uint8).reshape(4, 10000), axis=1)
+    kept = numeral != 0  # then: this digit or a later one is not 0
+    for place in (2, 1, 0):
+        kept[:, place] |= kept[:, place + 1]
+    numeral += 48
+    # a slot as a little-endian 16-bit number: the digit, then NUL
+    digits = np.stack([numeral, np.where(kept, numeral, 0)]).astype("<u2")
+
+    u = np.arange(24)[:, None, None, None]
+    first = 7 - np.arange(2)[:, None, None]  # the slot of g0's leading digit
+    negative = np.arange(2)[:, None]
+    slot = np.arange(24)
+    start = np.minimum(first, u)  # the first slot printed
+    frame = np.zeros((24, 2, 2, 24, 2), np.uint8)
+    frame[..., 0] = np.where((slot >= start)
+                             & (slot <= np.maximum(u + 1, first - 1)), 0x30, 0)
+    frame[..., 1] = np.where(slot == u, ord("."),
+                             np.where((negative == 1) & (slot == start - 1),
+                                      ord("-"), 0))
+    frame[..., 23, 1] = ord(",")
+    g0 = np.arange(21)[:, None, None]
+    trailing = np.arange(2)[:, None]
+    place = np.arange(4)
+    shown = (g0 // 10 ** (3 - place) != 0) & (
+        (trailing == 0) | (g0 % 10 ** (4 - place) != 0))
+    heads = np.zeros((24, 21, 2, 2, 24, 2), np.uint8)
+    heads[...] = frame[:, (np.arange(21) >= 10).astype(int), None]
+    heads[..., 4:8, 0] |= np.where(shown, g0 // 10 ** (3 - place) % 10 + 48,
+                                   0)[None, :, :, None].astype(np.uint8)
+    return (digits.view(np.uint8).view(np.uint64).ravel(),
+            heads.reshape(-1, 48).view(np.uint64))
+
+
+def _cells(text: list[bytes]) -> np.ndarray:
+    """Cells holding the given strings of at most 47 bytes."""
+    cells = np.array(text, dtype="S48").view(np.uint8).reshape(-1, 48)
+    cells[:, 47] = ord(",")
+    return cells.view(np.uint64)
+
+
+_ZERO, _NEG_ZERO = _cells([b"0.0", b"-0.0"])
+
+
+def _times_pow10(a, k):
+    """``a * 10**k`` as ``hi + lo`` exactly (Dekker's TwoProduct), for
+    ``0 <= k <= 21``, where 10**k is a double."""
+    scale = np.take(_POW10, k)
+    hi = a * scale
+    a_hi = _VELTKAMP * a
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    s_hi = np.take(_POW10_HI, k)
+    lo = a_hi * s_hi
+    lo -= hi
+    scale -= s_hi
+    lo += a_hi * scale
+    lo += a_lo * s_hi
+    lo += a_lo * scale
+    return hi, lo
+
+
+def _shortest(x):
+    """Of the decimals in the rounding interval of each ``|x|``, the
+    shortest, and of those the nearest to ``|x|``: ``(top * 10**4 + c) *
+    10**-k``, with ``top`` and ``c`` integer floats, ``0 <= c < 10**4``.
+    Returns ``(certain, k, top, c)``; ``certain`` is False where ``|x|``
+    is outside ``[1e-4, 1e16)`` or a bound or a tie lies within 1e-6 of a
+    unit, too near to tell here."""
+    a = np.abs(x)
+    mantissa, e = np.frexp(a)  # a = mantissa * 2**e, 0.5 <= mantissa < 1
+    certain = (a >= 1e-4) & (a < 1e16)
+    a[~certain] = 1.0
+    e[~certain] = 1
+    # P = a * 10**k lies in [1e16, 2e17), 1 <= k <= 21: its integer part
+    # holds the 17 significant digits repr may need
+    k = 16 - np.floor((e - 1) * math.log10(2)).astype(np.intp)
+    hi, lo = _times_pow10(a, k)
+    # hi >= 2**53 is an integer; its last four digits, `low`, and every
+    # offset from top * 10**4 below are small integers, exact as floats
+    whole = hi.astype(np.int64)
+    top = whole // 10000
+    whole -= top * 10000
+    low = whole.astype(np.float64)
+    # the rounding interval, P + ulp(a) * 10**k / 2 above and as far below
+    # (half that for a power of two, whose lower neighbour is nearer), holds
+    # the integers (below, above], as offsets; it is wider than 1.1
+    half = np.ldexp(np.take(_POW10, k), e - 54)
+    below = lo - np.where(mantissa == 0.5, 0.5 * half, half)
+    above = lo + half
+    # near an integer bound, whether the interval is closed would matter
+    unsure = np.abs(below - np.floor(below) - 0.5) > 0.5 - 1e-6
+    unsure |= np.abs(above - np.floor(above) - 0.5) > 0.5 - 1e-6
+    np.floor(below, out=below)
+    np.floor(above, out=above)
+    below += low
+    above += low
+    # unit = 10**t, t + 1 the digits of the interval's integer count: the
+    # interval holds a multiple of unit, and at most one of 10 * unit,
+    # which is then the shortest decimal
+    unit = np.where(above - below >= 10, 10.0, 1.0)
+    coarse = np.floor(above / (10 * unit)) * (10 * unit)
+    # else the multiple of unit nearest P, moved into the interval
+    low += lo
+    c = np.floor(low / unit + 0.5) * unit
+    low -= c
+    unsure |= (coarse <= below) & (np.abs(np.abs(low) - 0.5 * unit) < 1e-6)
+    c += np.where(c <= below, unit, 0.0) - np.where(c > above, unit, 0.0)
+    c = np.where(coarse > below, coarse, c)
+    carry = np.floor(c / 10000)
+    c -= carry * 10000
+    return certain & ~unsure, k, top + carry, c
+
+
+def _float_cells(x) -> np.ndarray:
+    """The cells of ``repr(float(v))`` for each value of a float column.
+
+    The positional range of repr, ``1e-4 <= |v| < 1e16``, is printed here:
+    repr's digits are those of the shortest decimal in v's rounding
+    interval, and of those the nearest to v (`_shortest`).  ``0.0`` and
+    ``-0.0`` are printed here too.  Everything else goes to ``repr``: NaN,
+    infinities, subnormals and the exponent form, and any value for which
+    a bound of its rounding interval or a tie between two candidates falls
+    within 1e-6 units of a decision."""
+    x = np.asarray(x, dtype=np.float64)
+    certain, k, top, c = _shortest(x)
+    # C = top * 10**4 + c in 4-digit groups g0 (1 to 20) to g4 = c
+    g0 = np.floor(top / 1e12)
+    top -= g0 * 1e12
+    g1 = np.floor(top / 1e8)
+    top -= g1 * 1e8
+    g2 = np.floor(top / 1e4)
+    top -= g2 * 1e4
+    # a group is printed without trailing zeros when every later one is 0
+    groups = np.empty((len(x), 4), np.intp)
+    groups[:, 3] = c + 10000
+    zeros = c == 0
+    groups[:, 2] = top + 10000 * zeros
+    zeros &= top == 0
+    groups[:, 1] = g2 + 10000 * zeros
+    zeros &= g2 == 0
+    groups[:, 0] = g1 + 10000 * zeros
+    zeros &= g1 == 0
+    negative = np.signbit(x)
+    # the heads' index, ((u * 21 + g0) * 2 + trailing) * 2 + negative
+    head = (23 - k) * 84 + (g0 * 4).astype(np.intp) + zeros * 2 + negative
+    digits, heads = _cell_tables()
+    cells = np.take(heads, head, axis=0)
+    cells[:, 2:] |= np.take(digits, groups)
+    zero = x == 0
+    cells[zero] = _ZERO
+    cells[zero & negative] = _NEG_ZERO
+    slow = np.flatnonzero(~(certain | zero))
+    if len(slow):
+        cells[slow] = _cells([repr(v).encode() for v in x[slow].tolist()])
+    return cells
+
+
+def _column_cells(col) -> np.ndarray:
+    if col.dtype.kind in "biu":
+        return _cells([b"%d" % v for v in col.tolist()])
+    return _float_cells(col)
+
+
+def _format_blocks(sinks, tables, columns, rows, lo, hi) -> None:
+    """Write rows ``[lo, hi)`` of each table to its sink, one block at a
+    time.  A column shared by several tables (the same array object) is
+    formatted once per block."""
+    # a table's lines, _LINES at a time: the cells, each ending in a comma
+    # but the last one, and a word holding the line end
+    lines = [np.zeros((_LINES, len(cols) * _CELL_WORDS + 1), np.uint64)
+             for _, _, cols in tables]
+    for line in lines:
+        line[:, -1] = np.frombuffer(b"\r\n".ljust(8, b"\0"), np.uint64)
+    for b0 in range(lo, hi, _EMIT_BLOCK):
+        b1 = min(b0 + _EMIT_BLOCK, hi)
+        cells = {}
+        for fh, n, (_, _, cols), line in zip(sinks, rows, tables, lines):
+            count = min(n, b1) - b0
+            if count <= 0:
+                continue
+            for col in cols:
+                if id(col) not in cells:
+                    cells[id(col)] = _column_cells(columns[id(col)][b0:b1])
+            for r0 in range(0, count, _LINES):
+                part = line[:min(_LINES, count - r0)]
+                for j, col in enumerate(cols):
+                    part[:, j * _CELL_WORDS:(j + 1) * _CELL_WORDS] = (
+                        cells[id(col)][r0:r0 + len(part)])
+                part.view(np.uint8)[:, len(cols) * 48 - 1] = 0  # no comma at the end
+                fh.write(part.tobytes().translate(None, b"\0"))
 
 
 def write_csv_columns(tables) -> None:
@@ -498,16 +709,16 @@ def write_csv_columns(tables) -> None:
     counterpart of `read_csv_columns`.
 
     ``tables`` holds ``(path, header, columns)``; a file has as many rows
-    as its shortest column.  ``repr`` is the cost, so when `_can_offload`
-    and the rows span two or more blocks, a forked child formats the second
-    half of the blocks of every file into anonymous temporary files in that
-    file's directory while this process writes the first half; the child's
-    halves are then appended."""
+    as its shortest column.  Floats are printed by `_float_cells`, which
+    leaves few to ``repr``.  When `_can_offload` and the rows are more than
+    `_SPLIT_ROWS`, a forked child formats the rows from the middle one on,
+    of every file, into anonymous temporary files in that file's directory
+    while this process writes the first half; the child's halves are then
+    appended."""
     columns = {id(col): np.asarray(col)
                for _, _, cols in tables for col in cols}
     rows = [min(len(col) for col in cols) for _, _, cols in tables]
     end = max(rows)
-    blocks = -(-end // _EMIT_BLOCK)
     mid = end
     tails = []
 
@@ -519,19 +730,18 @@ def write_csv_columns(tables) -> None:
     with contextlib.ExitStack() as stack:
         # opened before the fork but written after it, so the child's copies
         # hold no buffered data (os._exit would not flush them anyway)
-        files = [stack.enter_context(open(path, "w", newline=""))
-                 for path, _, _ in tables]
+        files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
         wait = None
-        if blocks >= 2 and _can_offload():
+        if end > _SPLIT_ROWS and _can_offload():
             for path, _, _ in tables:
                 tails.append(stack.enter_context(tempfile.TemporaryFile(
-                    "w+", newline="", dir=os.path.dirname(path) or os.curdir)))
-            mid = blocks // 2 * _EMIT_BLOCK
+                    dir=os.path.dirname(path) or os.curdir)))
+            mid = end // 2
             wait = stack.enter_context(_forked(format_tail))
             if wait is None:  # format every row here
                 mid = end
         for fh, (_, header, _) in zip(files, tables):
-            fh.write(",".join(header) + "\r\n")
+            fh.write((",".join(header) + "\r\n").encode())
         _format_blocks(files, tables, columns, rows, 0, mid)
         if wait is not None:
             code = wait()
@@ -540,8 +750,7 @@ def write_csv_columns(tables) -> None:
                               f"with code {code}")
             for fh, tmp in zip(files, tails):
                 tmp.seek(0)
-                fh.flush()  # the bytes are copied past the text layers
-                shutil.copyfileobj(tmp.buffer, fh.buffer)
+                shutil.copyfileobj(tmp, fh)
 
 
 def estimate_record(e: PosteriorEstimate) -> dict:

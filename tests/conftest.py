@@ -1,11 +1,17 @@
 """Fixtures for the forked helper of `cfmonitor.harness`: the float-table
-writer's formatter."""
+writer's formatter.  Also the ``thorough`` hypothesis profile, for
+``--hypothesis-profile thorough``: many more examples for the property tests
+that leave their example count to the profile (the float kernel's oracle
+tests among them)."""
 import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 from cfmonitor import harness
+
+settings.register_profile("thorough", max_examples=5000)
 
 
 @pytest.fixture

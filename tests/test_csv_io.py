@@ -1,6 +1,7 @@
 """The CSV layer against row-by-row references: the artifact writer against
-`csv.writer` with ``repr(float(v))`` and ``int(v)`` cells, the reader
-against a `csv.reader` + ``float()`` row loop."""
+`csv.writer` with ``repr(float(v))`` and ``int(v)`` cells, its float kernel
+against ``repr``, the reader against a `csv.reader` + ``float()`` row
+loop."""
 import contextlib
 import csv
 import io
@@ -30,7 +31,8 @@ from cfmonitor.estimator import PosteriorEstimate, SgldHyper
 from cfmonitor.monitor import Action, StrategyDecision
 from cfmonitor.plant import ControllerConfig, PlantParams, Trajectory
 
-BLOCK = harness._EMIT_BLOCK
+BLOCK = harness._EMIT_BLOCK  # rows the float kernel formats at a time
+SPLIT = harness._SPLIT_ROWS  # a table of more rows is split with a helper
 
 
 def reference_csv(path, header, columns, rows):
@@ -87,7 +89,7 @@ class TestEmissionMatchesCsvWriter:
             controller=ControllerConfig(),
             schedule=[(0.0, PlantParams(0.3, 1.0, 0.05)), (4.0, PlantParams(1.5, 0.5, 0.3))],
             leader_spec=spec, sgld=SgldHyper(K_iters=200), seed=1))
-        assert len(report.follower) > BLOCK and len(report.follower) % BLOCK
+        assert len(report.follower) > SPLIT and len(report.follower) % SPLIT
         assert any(rec.decision.anomaly for rec in report.windows)
         emit_outputs(report, tmp_path / "out")
         (tmp_path / "ref").mkdir()
@@ -108,7 +110,8 @@ class TestEmissionMatchesCsvWriter:
         (tmp_path / "ref").mkdir()
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
 
-    @pytest.mark.parametrize("rows", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("rows", [1, SPLIT, SPLIT + 1, 2 * SPLIT + 7, BLOCK - 1,
+                                      BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("shared_time", [True, False])
     def test_block_edges_and_odd_values(self, tmp_path, rows, shared_time):
         odd = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16,
@@ -137,7 +140,7 @@ class TestEmissionMatchesCsvWriter:
 
 
 # ---------------------------------------------------------------------------
-# the split writer: a forked child formats the second half of the blocks
+# the split writer: a forked child formats the rows from the middle one on
 
 
 def random_report(rows, follower_rows):
@@ -166,38 +169,43 @@ def windowed_report(windows):
     return report
 
 
-def make_repr_fail(monkeypatch, in_child):
-    """Make the writer's formatter raise in the forked child only, or in
-    this process only."""
+def make_formatter_fail(monkeypatch, in_child):
+    """Make the writer's float formatter raise in the forked child only, or
+    in this process only."""
     parent = os.getpid()
+    real = harness._float_cells
 
-    def bad_repr(v):
+    def bad_float_cells(x):
         if (os.getpid() != parent) == in_child:
             raise RuntimeError("formatter failed")
-        return repr(v)
+        return real(x)
 
-    monkeypatch.setattr(harness, "repr", bad_repr, raising=False)
+    monkeypatch.setattr(harness, "_float_cells", bad_float_cells)
 
 
 TABLES = {"leader.csv", "follower.csv", "overlay.csv"}
 
 
 class TestSplitWriter:
-    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
-                                      2 * BLOCK + 1, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT,
+                                      2 * SPLIT + 1, 3 * SPLIT + 1, 2 * BLOCK - 1,
+                                      2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1])
     def test_bytes_equal_csv_writer(self, tmp_path, forks, rows,
                                     assert_no_children):
+        # at 2 * BLOCK - 1, 2 * BLOCK and 2 * BLOCK + 1 rows, one half ends
+        # a row short of, at or a row past a block's end
         report = random_report(rows, rows)
         emit_outputs(report, tmp_path / "out")
-        assert len(forks) == (rows > BLOCK)
+        assert len(forks) == (rows > SPLIT)
         (tmp_path / "ref").mkdir()
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
         assert_no_children()
 
-    @pytest.mark.parametrize("follower_rows", [0, BLOCK + 5])
+    @pytest.mark.parametrize("follower_rows", [0, SPLIT + 5, 1024, 1025, 1026])
     def test_file_ends_before_split(self, tmp_path, forks, follower_rows):
-        # a collision run: the follower and overlay end in the first half
-        report = random_report(4 * BLOCK + 3, follower_rows)
+        # a collision run: the follower and overlay end in the first half,
+        # or a row before, at or after the middle one, 1025
+        report = random_report(4 * SPLIT + 3, follower_rows)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == 1
         (tmp_path / "ref").mkdir()
@@ -223,34 +231,34 @@ class TestSplitWriter:
                     == (tmp_path / "split" / name).read_bytes()), name
         assert set(os.listdir(tmp_path / "one")) == set(os.listdir(tmp_path / "split"))
 
-    @pytest.mark.parametrize("windows", [30, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("windows", [30, 2 * SPLIT + 7])
     @pytest.mark.parametrize("one_process", [False, True],
                              ids=["forked", "one_process"])
     def test_timeline_bytes_equal_csv_writer(self, tmp_path, monkeypatch, forks,
                                              windows, one_process):
         # the timeline is written by a call of its own, which forks once its
-        # rows span two blocks
+        # rows are more than SPLIT
         if one_process:
             monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         report = windowed_report(windows)
         emit_outputs(report, tmp_path / "out")
-        assert len(forks) == (windows > BLOCK and not one_process)
+        assert len(forks) == (windows > SPLIT and not one_process)
         (tmp_path / "ref").mkdir()
         assert_timeline_csv_matches(report, tmp_path / "out", tmp_path / "ref")
 
     def test_child_failure_raises_oserror(self, tmp_path, monkeypatch, forks,
                                           assert_no_children):
-        make_repr_fail(monkeypatch, in_child=True)
+        make_formatter_fail(monkeypatch, in_child=True)
         out = tmp_path / "out"
         with pytest.raises(OSError, match=r"rows from 1024 on ended with code 1"):
-            emit_outputs(random_report(4 * BLOCK, 4 * BLOCK), out)
+            emit_outputs(random_report(4 * SPLIT, 4 * SPLIT), out)
         assert len(forks) == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 
     def test_child_failure_exits_4(self, tmp_path, capsys, monkeypatch, forks,
                                    assert_no_children):
-        make_repr_fail(monkeypatch, in_child=True)
+        make_formatter_fail(monkeypatch, in_child=True)
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("sgld.K_iters = 50\n")
         out = tmp_path / "run"
@@ -264,8 +272,9 @@ class TestSplitWriter:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="no CPU affinity on this platform")
     def test_caller_cpu_set_unchanged(self, tmp_path, monkeypatch, forks):
-        # while the child formats the second half, this thread keeps to the
-        # lowest of its CPUs (where it has two or more); then its set is back
+        # while the child formats the second half, this thread keeps to one
+        # of its CPUs, chosen by process id (where it has two or more); then
+        # its set is back
         cpus = os.sched_getaffinity(0)
         during = []  # only this process's calls land here
         real_format = harness._format_blocks
@@ -275,21 +284,165 @@ class TestSplitWriter:
             real_format(*args)
 
         monkeypatch.setattr(harness, "_format_blocks", format_blocks)
-        column = np.arange(3 * BLOCK, dtype=float)
+        column = np.arange(3 * SPLIT, dtype=float)
         harness.write_csv_columns([(tmp_path / "x.csv", ["x"], [column])])
         assert forks == ["write_csv_columns"]
-        assert during == [{min(cpus)} if len(cpus) >= 2 else cpus]
+        own = {sorted(cpus)[os.getpid() % len(cpus)]}
+        assert during == [own if len(cpus) >= 2 else cpus]
         assert os.sched_getaffinity(0) == cpus
 
     def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks,
                                         assert_no_children):
-        make_repr_fail(monkeypatch, in_child=False)
+        make_formatter_fail(monkeypatch, in_child=False)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="formatter failed"):
-            emit_outputs(random_report(4 * BLOCK, 4 * BLOCK), out)
+            emit_outputs(random_report(4 * SPLIT, 4 * SPLIT), out)
         assert len(forks) == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
+
+
+# ---------------------------------------------------------------------------
+# the float kernel against repr
+
+
+def cell_text(values):
+    """What `harness._float_cells` writes for each value, as text."""
+    cells = harness._float_cells(np.asarray(values, dtype=np.float64))
+    rows = cells.view(np.uint8).reshape(-1, 48)
+    # byte 47 holds the comma that follows a cell
+    assert (rows[:, 47] == ord(",")).all()
+    return [row[:47].tobytes().replace(b"\0", b"").decode() for row in rows]
+
+
+def assert_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = cell_text(values)
+    want = [repr(v) for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:10]
+
+
+def nudged(values, ulps):
+    """``values`` moved by ``ulps`` units in the last place (up or down)."""
+    out = np.asarray(values, dtype=np.float64)
+    for _ in range(abs(ulps)):
+        out = np.nextafter(out, np.inf if ulps > 0 else -np.inf)
+    return out
+
+
+def adversarial():
+    """Values where a shortest-digit search tends to go wrong."""
+    base = np.concatenate([10.0 ** np.arange(-6, 18), 2.0 ** np.arange(-20, 61),
+                           [1e-4, 1e16]])
+    near = [nudged(base, ulps) for ulps in range(-3, 4)]
+    # halfway at 17 digits: the 17-digit decimal ending in 5 lies between
+    # the 16-digit neighbours
+    rng = np.random.default_rng(17)
+    halves = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**15, 10**16, 400),
+                                                  rng.integers(-20, 0, 400))]
+    odd = [0.1 + 0.2, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           9007199254740993.0, 9999999999999998.0, 123456789.125, 0.3, 2.5e-7]
+    values = np.concatenate(near + [halves, odd])
+    return np.concatenate([values, -values])
+
+
+BITS = st.integers(0, 2**64 - 1)
+
+
+class TestFloatCells:
+    @given(bits=st.lists(BITS, max_size=40))
+    @settings(deadline=None)
+    def test_bit_patterns(self, bits):
+        # NaN payloads, subnormals, zeros and infinities included
+        assert_repr(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @given(values=st.lists(st.floats(), max_size=40))
+    @settings(deadline=None)
+    def test_floats(self, values):
+        assert_repr(values)
+
+    @given(mantissa=st.integers(1, 10**17), exponent=st.integers(-22, 16),
+           ulps=st.integers(-3, 3))
+    @settings(deadline=None)
+    def test_short_decimals(self, mantissa, exponent, ulps):
+        # a decimal of up to 17 digits, and its neighbours, across the range
+        # the kernel prints
+        assert_repr(nudged([float(f"{mantissa}e{exponent}")], ulps))
+
+    def test_adversarial(self):
+        assert_repr(adversarial())
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        n = 250_000
+        assert_repr(np.concatenate([
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-5, 17, n),
+            np.round(rng.standard_normal(n) * 1e4, rng.integers(0, 12)),
+            rng.uniform(-100, 100, n)]))
+
+    def test_zeros_and_fallbacks(self, monkeypatch):
+        # 0.0 and -0.0 are printed by the kernel, the rest by repr
+        calls = []
+        monkeypatch.setattr(harness, "repr", lambda v: calls.append(v) or repr(v),
+                            raising=False)
+        fallbacks = [np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16]
+        assert cell_text([0.0, -0.0, *fallbacks, 0.5, -4.0, 1.5]) == [
+            "0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e-05", "1e+16", "0.5",
+            "-4.0", "1.5"]
+        assert len(calls) == len(fallbacks)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_and_one_row(self, tmp_path, rows):
+        columns = [np.full(rows, -0.125), np.arange(rows), np.full(rows, 1e300)]
+        harness.write_csv_columns([(tmp_path / "x.csv", ["a", "b", "c"], columns)])
+        reference = "a,b,c\r\n" + "-0.125,0,1e+300\r\n" * rows
+        assert (tmp_path / "x.csv").read_bytes() == reference.encode()
+
+    def test_integer_columns(self, tmp_path):
+        # integer cells are int(v), whatever their width or sign
+        ints = np.array([0, 1, -1, 7, 2**62, -2**63, 123456789], dtype=np.int64)
+        columns = [ints, ints.astype(np.int8), np.resize([True, False], 7),
+                   ints.astype(float)]
+        harness.write_csv_columns([(tmp_path / "x.csv", list("abcd"), columns)])
+        reference = "a,b,c,d\r\n" + "".join(
+            f"{a},{b},{int(c)},{float(d)!r}\r\n"
+            for a, b, c, d in zip(*(col.tolist() for col in columns)))
+        assert (tmp_path / "x.csv").read_bytes() == reference.encode()
+
+
+def long_scenario():
+    """A 600 s run of 60 001 rows with 20 s windows, as a replay would be."""
+    pulses = (LeaderSegment(20.0, 0.0), LeaderSegment(4.0, -1.5),
+              LeaderSegment(6.0, 1.0), LeaderSegment(10.0, 0.5),
+              LeaderSegment(10.0, -0.5))
+    return ScenarioConfig(
+        controller=ControllerConfig(),
+        schedule=[(0.0, PlantParams(0.3, 1.0, 0.05)), (300.0, PlantParams(1.5, 0.5, 0.3))],
+        leader_spec=SyntheticLeaderSpec(segments=pulses * 12, v0=20.0),
+        window_length=20.0, sgld=SgldHyper(K_iters=1000), seed=7)
+
+
+class TestKernelShare:
+    """Nearly every float cell of a run's artifacts comes from the kernel: a
+    writer that sent every cell to repr would match every byte test."""
+
+    @pytest.mark.parametrize("scenario", [lambda: harness.default_scenario(7),
+                                          long_scenario], ids=["default", "long"])
+    def test_at_most_one_percent_to_repr(self, tmp_path, monkeypatch, scenario):
+        report = run_closed_loop(scenario())
+        calls = []
+        monkeypatch.setattr(harness, "repr", lambda v: calls.append(v) or repr(v),
+                            raising=False)
+        emit_outputs(report, tmp_path / "out")
+        lead, f = report.leader, report.follower
+        # the distinct float columns: the follower's time is the leader's
+        floats = 4 * len(lead) + 5 * len(f) + 7 * len(report.windows)
+        assert len(lead) == (6001, 60001)[scenario is long_scenario]
+        assert len(calls) <= 0.01 * floats
+        (tmp_path / "ref").mkdir()
+        assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
 
 
 # ---------------------------------------------------------------------------

@@ -352,9 +352,9 @@ class TestRunClosedLoop:
 
 
 class TestForked:
-    """Where `_forked` runs its child and the calling thread: the child on
-    all of the caller's CPUs but the lowest, the caller on the lowest until
-    the block ends, and then the caller's set restored."""
+    """Where `_forked` runs its child and the calling thread: the caller on
+    one of its CPUs, chosen by process id, until the block ends, the child
+    on the others, and then the caller's set restored."""
 
     @pytest.fixture
     def cpus(self):
@@ -363,7 +363,9 @@ class TestForked:
             pytest.skip("needs two or more usable CPUs")
         return cpus
 
-    def test_child_and_caller_split_cpus(self, cpus, assert_no_children):
+    @staticmethod
+    def split(cpus):
+        """The CPU sets of the caller and of the child, in the block."""
         read_end, write_end = os.pipe()
 
         def work():
@@ -371,11 +373,29 @@ class TestForked:
 
         with open(read_end, "rb") as reports:
             with harness._forked(work) as wait:
-                assert os.sched_getaffinity(0) == {min(cpus)}
+                own = os.sched_getaffinity(0)
                 assert wait() == 0
                 os.close(write_end)
-                assert set(json.loads(reports.read())) == cpus - {min(cpus)}
+                child = set(json.loads(reports.read()))
         assert os.sched_getaffinity(0) == cpus
+        return own, child
+
+    def test_child_and_caller_split_cpus(self, cpus, assert_no_children):
+        own, child = self.split(cpus)
+        assert own == {sorted(cpus)[os.getpid() % len(cpus)]}
+        assert child == cpus - own
+        assert_no_children()
+
+    def test_cpu_chosen_by_process_id(self, cpus, monkeypatch, assert_no_children):
+        # runs whose ids follow one another keep to different CPUs
+        chosen = []
+        for pid in range(1000, 1000 + len(cpus) + 1):
+            monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+            own, child = self.split(cpus)
+            assert len(own) == 1 and not own & child and own | child == cpus
+            chosen.append(own)
+        assert all(a != b for a, b in zip(chosen, chosen[1:]))
+        assert set().union(*chosen) == cpus
         assert_no_children()
 
     @pytest.mark.parametrize("end", ["exception", "child_raises"])
@@ -386,7 +406,7 @@ class TestForked:
 
         with contextlib.suppress(KeyError):
             with harness._forked(work) as wait:
-                assert os.sched_getaffinity(0) == {min(cpus)}
+                assert os.sched_getaffinity(0) == {sorted(cpus)[os.getpid() % len(cpus)]}
                 if end == "exception":
                     raise KeyError("the block failed")
                 assert wait() == 1
@@ -444,8 +464,8 @@ class TestPrefetchedDraws:
                                               no_prefetch):
         cfg = config(sgld)
         assert self.simulate(cfg, tmp_path / "forked") == (0, "")
-        # the writer forks for the 1200-row trajectory tables, which span
-        # three blocks, and writes the six-row timeline in process
+        # the writer forks for the 1200-row trajectory tables, more rows than
+        # it splits from, and writes the six-row timeline in process
         assert forks == ["write_csv_columns"]
         counts = [json.loads(line)["sample_count"] for line in
                   (tmp_path / "forked" / "estimates.jsonl").read_text().splitlines()]

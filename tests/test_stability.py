@@ -382,7 +382,7 @@ class TestRegionCsv:
                              ids=["forked", "one_process"])
     def test_bytes_match_csv_writer(self, tmp_path, capsys, monkeypatch, forks,
                                     one_process):
-        # 41 x 31 cells span three of the writer's blocks, so it forks
+        # 41 x 31 cells, more rows than the writer splits from, so it forks
         if one_process:
             monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         out = tmp_path / "region.csv"
