@@ -155,13 +155,9 @@ def _cmd_stability(args) -> int:
     scenario = _load_scenario(args)
     (lo1, hi1, n1), (lo2, hi2, n2) = map(_parse_grid, args.range)
     cfg = scenario.controller
-    verdict = stability.assess(cfg)
-    print(json.dumps({
-        "locally_stable": verdict.locally_stable,
-        "string_stable": verdict.string_stable,
-        "local_margins": json_margins(verdict.local_margins),
-        "string_margins": json_margins(verdict.string_margins),
-    }, indent=2, allow_nan=False))
+    region = None
+    # the sweep's arguments are checked, and its region computed, before
+    # anything is printed
     if args.sweep:
         if not args.out:
             raise ConfigError("--sweep requires --out for the region CSV")
@@ -172,6 +168,14 @@ def _cmd_stability(args) -> int:
         region = stability.stability_region(
             p1, np.linspace(lo1, hi1, n1), p2, np.linspace(lo2, hi2, n2), cfg
         )
+    verdict = stability.assess(cfg)
+    print(json.dumps({
+        "locally_stable": verdict.locally_stable,
+        "string_stable": verdict.string_stable,
+        "local_margins": json_margins(verdict.local_margins),
+        "string_margins": json_margins(verdict.string_margins),
+    }, indent=2, allow_nan=False))
+    if region is not None:
         # one row per cell, the second parameter varying fastest
         g1, g2 = np.meshgrid(region.grid1, region.grid2, indexing="ij")
         margins = region.margins.reshape(g1.size, -1).T

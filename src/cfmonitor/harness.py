@@ -292,17 +292,14 @@ def _resolve_leader(scenario: ScenarioConfig) -> Trajectory:
     return leader
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _can_offload() -> bool:
     """True when a forked helper can run beside this process: the platform
     can fork and two or more CPUs are usable."""
-    return hasattr(os, "fork") and _usable_cpus() >= 2
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return hasattr(os, "fork") and cpus >= 2
 
 
 @contextlib.contextmanager
@@ -310,24 +307,18 @@ def _forked(work):
     """Run ``work()`` in a forked child while the block runs.  The child ends
     with `os._exit`: code 0 when ``work`` returns, 1 when it raises.
 
-    Yields ``wait()``, which reaps the child and returns its exit code, or
-    None when the fork fails (e.g. at a process limit), so the caller does
-    the work itself.  A child not yet reaped when the block ends, normally
-    or by an exception, is killed and reaped.
-
-    Where this thread may run on two or more CPUs and the platform lets
-    them be chosen, this thread keeps to one of them and the child to the
-    others, so that the scheduler does not run both on one CPU, one
-    preempting the other while a CPU idles.  That CPU is chosen by process
-    id, so that runs started side by side, whose ids differ, do not all
-    keep to one CPU.  When the block ends, however it ends, this thread's
-    CPU set is restored.
+    Yields ``wait()``, which reaps the child and returns its exit code and
+    the error it raised, as text (empty when it raised none), or yields None
+    when the fork fails (e.g. at a process limit), so the caller does the
+    work itself.  A child not yet reaped when the block ends, normally or by
+    an exception, is killed and reaped.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    own = {sorted(cpus)[os.getpid() % len(cpus)]} if len(cpus) >= 2 else None
+    read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
+        os.close(read_end)
+        os.close(write_end)
         yield None
         return
     if pid == 0:
@@ -335,33 +326,29 @@ def _forked(work):
         # whose worker threads it would lack
         status = 1
         try:
-            if own:
-                with contextlib.suppress(OSError):  # e.g. a CPU taken away
-                    os.sched_setaffinity(0, cpus - own)
             work()
             status = 0
+        except BaseException as exc:
+            os.write(write_end, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
         finally:
             os._exit(status)
+    os.close(write_end)
     reaped = False
+    with open(read_end, "rb") as errors:
+        def wait():
+            nonlocal reaped
+            # read to the end, which comes when the child exits
+            error = errors.read().decode(errors="replace")
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+            return os.waitstatus_to_exitcode(status), error
 
-    def wait():
-        nonlocal reaped
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        return os.waitstatus_to_exitcode(status)
-
-    try:
-        if own:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, own)
-        yield wait
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if own:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus)
+        try:
+            yield wait
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
@@ -744,10 +731,10 @@ def write_csv_columns(tables) -> None:
             fh.write((",".join(header) + "\r\n").encode())
         _format_blocks(files, tables, columns, rows, 0, mid)
         if wait is not None:
-            code = wait()
+            code, error = wait()
             if code:
                 raise OSError(f"the process formatting rows from {mid} on ended "
-                              f"with code {code}")
+                              f"with code {code}" + (f": {error}" if error else ""))
             for fh, tmp in zip(files, tails):
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, fh)
@@ -834,7 +821,7 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
         _estimates_jsonl(report, paths["estimates.jsonl"])
         _decisions_jsonl(report, paths["decisions.jsonl"])
         # a call of its own, so the trajectory tables split as before; at a
-        # row per window it forks only past 1024 windows
+        # row per window it forks only past _SPLIT_ROWS windows
         est = np.array([(rec.t_end, rec.estimate.K_L, *rec.estimate.credible[0],
                          rec.estimate.T_L, *rec.estimate.credible[1])
                         for rec in report.windows]).reshape(-1, 7)

@@ -16,10 +16,10 @@ settings.register_profile("thorough", max_examples=5000)
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Two usable CPUs whatever the affinity, and a list that gets, per fork
-    the harness makes, the name of the harness function that asked for it
-    (``write_csv_columns``)."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    """A helper wherever the platform can fork, however many CPUs are usable,
+    and a list that gets, per fork the harness makes, the name of the
+    harness function that asked for it (``write_csv_columns``)."""
+    monkeypatch.setattr(harness, "_can_offload", lambda: hasattr(os, "fork"))
     calls = []
     real_fork = os.fork
 
@@ -34,23 +34,6 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return calls
-
-
-# this thread's CPU set as the tests start
-CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
-@pytest.fixture(autouse=True)
-def cpus_kept():
-    """Every test, with the fixtures it sets up (a module's, too), leaves
-    this thread's CPU set as the tests started with it.  A set left changed
-    is put back, so the tests after the one that changed it still run, and
-    check, on the whole set."""
-    yield
-    if CPUS is not None:
-        after = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, CPUS)
-        assert after == CPUS
 
 
 @pytest.fixture

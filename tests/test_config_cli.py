@@ -299,8 +299,25 @@ class TestCliStability:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
-    def test_sweep_without_out_is_config_error(self):
+    def test_sweep_without_out_is_config_error(self, capsys):
         assert main(["stability", "--sweep", "k_s", "k_v"]) == 2
+        # the verdict is not printed before the error
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("sweep", [["k_s", "foo"], ["k_v", "k_v"]])
+    def test_bad_sweep_name_prints_nothing(self, tmp_path, capsys, sweep):
+        assert main(["stability", "--sweep", *sweep,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_grid_over_cell_limit_prints_nothing(self, tmp_path, capsys):
+        assert main(["stability", "--sweep", "k_s", "k_v", "--range", "0:5:2000",
+                     "0:5:2000", "--out", str(tmp_path / "r.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the limit" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_grid_spec_is_config_error(self, tmp_path):
         for ranges in (["bad", "0:5:3"],

@@ -169,15 +169,16 @@ def windowed_report(windows):
     return report
 
 
-def make_formatter_fail(monkeypatch, in_child):
-    """Make the writer's float formatter raise in the forked child only, or
-    in this process only."""
+def make_formatter_fail(monkeypatch, in_child,
+                        error=RuntimeError("formatter failed")):
+    """Make the writer's float formatter raise ``error`` in the forked child
+    only, or in this process only."""
     parent = os.getpid()
     real = harness._float_cells
 
     def bad_float_cells(x):
         if (os.getpid() != parent) == in_child:
-            raise RuntimeError("formatter failed")
+            raise error
         return real(x)
 
     monkeypatch.setattr(harness, "_float_cells", bad_float_cells)
@@ -217,7 +218,7 @@ class TestSplitWriter:
         report = random_report(3 * BLOCK + 1, 3 * BLOCK - 2)
         emit_outputs(report, tmp_path / "split")
         if no_split == "one_cpu":
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(harness, "_can_offload", lambda: False)
         elif no_split == "no_fork":
             monkeypatch.delattr(os, "fork")
         else:
@@ -239,7 +240,7 @@ class TestSplitWriter:
         # the timeline is written by a call of its own, which forks once its
         # rows are more than SPLIT
         if one_process:
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(harness, "_can_offload", lambda: False)
         report = windowed_report(windows)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == (windows > SPLIT and not one_process)
@@ -250,7 +251,8 @@ class TestSplitWriter:
                                           assert_no_children):
         make_formatter_fail(monkeypatch, in_child=True)
         out = tmp_path / "out"
-        with pytest.raises(OSError, match=r"rows from 1024 on ended with code 1"):
+        with pytest.raises(OSError, match=r"rows from 1024 on ended with code 1: "
+                                          r"RuntimeError: formatter failed$"):
             emit_outputs(random_report(4 * SPLIT, 4 * SPLIT), out)
         assert len(forks) == 1
         assert_no_children()
@@ -269,27 +271,40 @@ class TestSplitWriter:
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="no CPU affinity on this platform")
-    def test_caller_cpu_set_unchanged(self, tmp_path, monkeypatch, forks):
-        # while the child formats the second half, this thread keeps to one
-        # of its CPUs, chosen by process id (where it has two or more); then
-        # its set is back
-        cpus = os.sched_getaffinity(0)
-        during = []  # only this process's calls land here
-        real_format = harness._format_blocks
+    @pytest.mark.parametrize("one_process", [False, True],
+                             ids=["forked", "one_process"])
+    def test_disk_full_named_on_stderr(self, tmp_path, capsys, monkeypatch, forks,
+                                       assert_no_children, one_process):
+        # the cause of a failed write reaches the exit-4 message from either
+        # process
+        if one_process:
+            monkeypatch.setattr(harness, "_can_offload", lambda: False)
+        make_formatter_fail(monkeypatch, in_child=not one_process,
+                            error=OSError(28, "No space left on device"))
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("sgld.K_iters = 50\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: failed writing outputs under")
+        assert "[Errno 28] No space left on device" in err
+        assert forks == ([] if one_process else ["write_csv_columns"])
+        assert_no_children()
 
-        def format_blocks(*args):
-            during.append(os.sched_getaffinity(0))
-            real_format(*args)
+    def test_cpu_set_left_alone(self, tmp_path, monkeypatch, forks,
+                                assert_no_children):
+        # the helper runs where the scheduler puts it: neither process
+        # changes a CPU set
+        def set_affinity(*args):
+            raise AssertionError("the writer changed a CPU set")
 
-        monkeypatch.setattr(harness, "_format_blocks", format_blocks)
-        column = np.arange(3 * SPLIT, dtype=float)
+        monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
+        column = np.arange(3 * SPLIT, dtype=float) / 7
         harness.write_csv_columns([(tmp_path / "x.csv", ["x"], [column])])
         assert forks == ["write_csv_columns"]
-        own = {sorted(cpus)[os.getpid() % len(cpus)]}
-        assert during == [own if len(cpus) >= 2 else cpus]
-        assert os.sched_getaffinity(0) == cpus
+        reference_csv(tmp_path / "ref.csv", ["x"], [column], len(column))
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_no_children()
 
     def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks,
                                         assert_no_children):

@@ -351,74 +351,10 @@ class TestRunClosedLoop:
         assert gap < gap_target[i] - 1.0
 
 
-class TestForked:
-    """Where `_forked` runs its child and the calling thread: the caller on
-    one of its CPUs, chosen by process id, until the block ends, the child
-    on the others, and then the caller's set restored."""
-
-    @pytest.fixture
-    def cpus(self):
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-        if len(cpus) < 2:
-            pytest.skip("needs two or more usable CPUs")
-        return cpus
-
-    @staticmethod
-    def split(cpus):
-        """The CPU sets of the caller and of the child, in the block."""
-        read_end, write_end = os.pipe()
-
-        def work():
-            os.write(write_end, json.dumps(sorted(os.sched_getaffinity(0))).encode())
-
-        with open(read_end, "rb") as reports:
-            with harness._forked(work) as wait:
-                own = os.sched_getaffinity(0)
-                assert wait() == 0
-                os.close(write_end)
-                child = set(json.loads(reports.read()))
-        assert os.sched_getaffinity(0) == cpus
-        return own, child
-
-    def test_child_and_caller_split_cpus(self, cpus, assert_no_children):
-        own, child = self.split(cpus)
-        assert own == {sorted(cpus)[os.getpid() % len(cpus)]}
-        assert child == cpus - own
-        assert_no_children()
-
-    def test_cpu_chosen_by_process_id(self, cpus, monkeypatch, assert_no_children):
-        # runs whose ids follow one another keep to different CPUs
-        chosen = []
-        for pid in range(1000, 1000 + len(cpus) + 1):
-            monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
-            own, child = self.split(cpus)
-            assert len(own) == 1 and not own & child and own | child == cpus
-            chosen.append(own)
-        assert all(a != b for a, b in zip(chosen, chosen[1:]))
-        assert set().union(*chosen) == cpus
-        assert_no_children()
-
-    @pytest.mark.parametrize("end", ["exception", "child_raises"])
-    def test_cpu_set_restored(self, cpus, assert_no_children, end):
-        def work():
-            if end == "child_raises":
-                raise RuntimeError("work failed")
-
-        with contextlib.suppress(KeyError):
-            with harness._forked(work) as wait:
-                assert os.sched_getaffinity(0) == {sorted(cpus)[os.getpid() % len(cpus)]}
-                if end == "exception":
-                    raise KeyError("the block failed")
-                assert wait() == 1
-        assert os.sched_getaffinity(0) == cpus
-        assert_no_children()
-
-
 class TestPrefetchedDraws:
-    """The closed loop's SGLD chains, whose inputs a forked helper once made
-    ahead, draw their own in process: a run's artifacts and exit codes do
-    not depend on whether the harness can fork, and only the float-table
-    writer forks."""
+    """A closed-loop run through ``cfmonitor simulate``: its SGLD chains run
+    in process, only the float-table writer forks, and a run's artifacts
+    and exit codes do not depend on whether the writer can fork."""
 
     @pytest.fixture
     def config(self, tmp_path, forks):
@@ -439,14 +375,10 @@ class TestPrefetchedDraws:
 
     @staticmethod
     def simulate(cfg, out):
-        """Exit code and stderr of ``cfmonitor simulate``, which leaves this
-        thread's CPU set as it found it."""
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        """Exit code and stderr of ``cfmonitor simulate``."""
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        if cpus is not None:
-            assert os.sched_getaffinity(0) == cpus
         return code, err.getvalue()
 
     @staticmethod
@@ -471,7 +403,7 @@ class TestPrefetchedDraws:
                   (tmp_path / "forked" / "estimates.jsonl").read_text().splitlines()]
         assert [count > 0 for count in counts] == [False, True, False, True, True, True]
         if no_prefetch == "one_cpu":
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(harness, "_can_offload", lambda: False)
         elif no_prefetch == "no_fork":
             monkeypatch.delattr(os, "fork")
         else:

@@ -384,7 +384,7 @@ class TestRegionCsv:
                                     one_process):
         # 41 x 31 cells, more rows than the writer splits from, so it forks
         if one_process:
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(harness, "_can_offload", lambda: False)
         out = tmp_path / "region.csv"
         assert main(["stability", "--sweep", "k_s", "tau_star", "--range",
                      "0:5:41", "0:3:31", "--out", str(out)]) == 0
