@@ -106,6 +106,10 @@ class GaussianPrior:
             raise ValueError("prior variance must be positive")
         if self.variance == math.inf:
             raise ValueError("prior variance must be finite")
+        # the mode search and the chain divide by it
+        if 1.0 / self.variance == math.inf:
+            raise ValueError(f"prior.variance = {self.variance:g} is too small: "
+                             "its reciprocal overflows")
         if not all(map(math.isfinite, self.mean)):
             raise ValueError("prior mean must be finite")
 
@@ -194,23 +198,22 @@ class _WindowStats:
                        + alpha * alpha * self.uu - 2.0 * alpha * beta * self.au
                        + beta * beta * self.aa)
 
-    def gradient(self, K_L: float, T_L: float) -> tuple[float, float]:
-        """The log likelihood's gradient in (K_L, T_L)."""
-        alpha, beta = K_L / T_L, 1.0 / T_L
-        g_alpha = self.ju - alpha * self.uu + beta * self.au
-        g_beta = alpha * self.au - self.ja - beta * self.aa
-        return g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
+    def slopes(self, alpha: float, beta: float) -> tuple[float, float]:
+        """The log likelihood's gradient in ``(alpha, beta)``."""
+        return (self.ju - alpha * self.uu + beta * self.au,
+                alpha * self.au - self.ja - beta * self.aa)
 
 
 def _window_stats(batch: ObservationBatch, sigma_sq: float) -> _WindowStats:
-    """The batch's `_WindowStats`.  Observations so large that a sum
-    overflows raise ``ValueError``."""
+    """The batch's `_WindowStats`.  Observations so large, or a
+    ``sigma_sq`` so small, that a sum overflows raise ``ValueError``."""
     a, u, j = batch.accel, batch.demand, batch.jerk
     with np.errstate(over="ignore", invalid="ignore"):
         products = np.column_stack([j * j, j * u, u * u, a * u, j * a, a * a])
         sums = products.sum(axis=0) * (1.0 / sigma_sq)
     if not np.isfinite(sums).all():
-        raise ValueError("observations too large: the likelihood sums overflow")
+        raise ValueError(f"observations too large for the scale sgld.sigma_sq = "
+                         f"{sigma_sq:g}: the likelihood sums overflow")
     return _WindowStats(len(batch), *sums.tolist())
 
 
@@ -238,7 +241,10 @@ def grad_log_posterior(
     K_L, T_L = theta
     if T_L <= 0:
         raise ValueError("T_L must be positive")
-    g_lik = _window_stats(batch, sigma_sq).gradient(K_L, T_L)
+    alpha, beta = K_L / T_L, 1.0 / T_L
+    g_alpha, g_beta = _window_stats(batch, sigma_sq).slopes(alpha, beta)
+    # the chain rule through alpha = K_L / T_L and beta = 1 / T_L
+    g_lik = g_alpha * beta, -(K_L * g_alpha + g_beta) * beta * beta
     return prior.grad_log_density(theta) + np.array(g_lik)
 
 
@@ -268,8 +274,7 @@ def _log_target(stats: _WindowStats, prior: GaussianPrior, x: float, y: float):
     K, T = math.exp(x), math.exp(y)
     alpha, beta = K / T, 1.0 / T
     (m_K, m_T), var = prior.mean, prior.variance
-    g_alpha = stats.ju - alpha * stats.uu + beta * stats.au
-    g_beta = alpha * stats.au - stats.ja - beta * stats.aa
+    g_alpha, g_beta = stats.slopes(alpha, beta)
     # dr/dx = -alpha u and dr/dy = alpha u - beta a; the chain rule through
     # K = e^x and T = e^y gives the likelihood's terms
     lik_x = g_alpha * alpha
@@ -417,8 +422,8 @@ def sgld_run(
             m = len(chunk)
             flat = []  # the chunk's iterates as K, T, K, T, ...
             for z_K, z_T in zip(chunk[:, 0].tolist(), chunk[:, -1].tolist()):
-                # the likelihood gradient in phi from the five sums (see
-                # `_log_target`), plus the prior's and the log-volume term
+                # `_WindowStats.slopes` and `_log_target`'s chain rule,
+                # inlined, plus the prior's and the log-volume term
                 alpha, beta = K / T, 1.0 / T
                 g_alpha = s_ju - alpha * s_uu + beta * s_au
                 lik_x = g_alpha * alpha

@@ -98,6 +98,9 @@ class ScenarioConfig:
         # checked here too, so a bad value fails before the run, not in it
         if not self.rolling_lambda > 0:
             raise ValueError("rolling_lambda must be positive")
+        if 1.0 / self.rolling_lambda == math.inf:  # it becomes a prior variance
+            raise ValueError(f"prior.rolling_lambda = {self.rolling_lambda:g} is "
+                             "too small: its reciprocal overflows")
         if not self.smoothing_width >= 0:
             raise ValueError("smoothing_width must be non-negative")
         if self.seed < 0:

@@ -58,9 +58,6 @@ class MonitorPolicy:
     # a step change in tau_star shifts the spacing target by tau_change x
     # speed metres at once, so the harness slews toward the decided value
     tau_star_slew: float = 0.02
-    # interval mode: a parameter is anomalous only when its whole 95%
-    # credible interval sits outside the accepted band
-    use_interval_overlap: bool = False
 
     def __post_init__(self):
         if not (self.accepted_change_T_L > 0 and self.accepted_change_K_L > 0):
@@ -87,19 +84,11 @@ def check_bounds(
     baseline: tuple[float, float],
     policy: MonitorPolicy,
 ) -> tuple[bool, dict[str, bool]]:
-    """Flag parameters whose estimate left the accepted band around the
-    baseline (K_L, T_L)."""
+    """Flag parameters whose posterior mean left the accepted band around
+    the baseline (K_L, T_L)."""
     base_K, base_T = baseline
-    if policy.use_interval_overlap:
-        k_lo, k_hi = estimate.credible[0]
-        t_lo, t_hi = estimate.credible[1]
-        flag_K = (k_hi < base_K - policy.accepted_change_K_L
-                  or k_lo > base_K + policy.accepted_change_K_L)
-        flag_T = (t_hi < base_T - policy.accepted_change_T_L
-                  or t_lo > base_T + policy.accepted_change_T_L)
-    else:
-        flag_K = abs(estimate.K_L - base_K) > policy.accepted_change_K_L
-        flag_T = abs(estimate.T_L - base_T) > policy.accepted_change_T_L
+    flag_K = abs(estimate.K_L - base_K) > policy.accepted_change_K_L
+    flag_T = abs(estimate.T_L - base_T) > policy.accepted_change_T_L
     return flag_K or flag_T, {"K_L": flag_K, "T_L": flag_T}
 
 

@@ -120,7 +120,9 @@ def assess(cfg: ControllerConfig) -> StabilityVerdict:
     which margins 6-8 only bound."""
     box = (cfg.k_s, cfg.k_v, cfg.k_a, cfg.tau_star, cfg.T_L_bounds[1],
            *cfg.K_L_bounds)
-    local, string = _margin_arrays(*box)
+    # the monitor's bounds are numpy floats, whose overflow warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        local, string = _margin_arrays(*box)
     local = tuple(float(m) for m in local)
     string = tuple(float(m) for m in string)
     return StabilityVerdict(all(m > 0 for m in local), bool(_string_stable(*box)),

@@ -693,6 +693,37 @@ class TestCliSimulate:
         assert err.startswith("error: not enough memory: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        # 1 / variance overflows; the run used to sample no window
+        ("prior.variance", "1e-309"),
+        # every later prior's variance; the run used to sample one window
+        ("prior.rolling_lambda", "1e-320"),
+        # the sums divided by it overflow in the first window
+        ("sgld.sigma_sq", "1e-306"),
+    ])
+    def test_variance_too_small_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_overflowing_escalation_prints_no_warning(self, tmp_path, capsys):
+        # the escalated time gap overflows the margins of every later
+        # decision, whose bounds are numpy floats; pyproject.toml makes a
+        # numpy RuntimeWarning an error here
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("monitor.tau_star_escalated = 1e308\n")
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--seed", "0",
+                     "--out", str(run)]) == 0
+        assert capsys.readouterr().err == ""
+        decisions = [strict_json(line) for line in
+                     (run / "decisions.jsonl").read_text().splitlines()]
+        assert [d["window"] for d in decisions
+                if d["margins"] is not None and None in d["margins"]] == list(range(14, 30))
+
     @pytest.mark.parametrize("line", ONE_SAMPLE_CHAINS)
     def test_one_sample_chain_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "scenario.cfg"

@@ -351,7 +351,7 @@ class TestRunClosedLoop:
         assert gap < gap_target[i] - 1.0
 
 
-class TestPrefetchedDraws:
+class TestSimulateForkedWriter:
     """A closed-loop run through ``cfmonitor simulate``: its SGLD chains run
     in process, only the float-table writer forks, and a run's artifacts
     and exit codes do not depend on whether the writer can fork."""
@@ -389,12 +389,10 @@ class TestPrefetchedDraws:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    @pytest.mark.parametrize("sgld", ["sgld.K_iters = 1100\n"])
-    @pytest.mark.parametrize("no_prefetch", ["one_cpu", "no_fork", "fork_fails"])
-    def test_artifacts_equal_in_process_draws(self, tmp_path, monkeypatch, forks,
-                                              assert_no_children, config, sgld,
-                                              no_prefetch):
-        cfg = config(sgld)
+    @pytest.mark.parametrize("one_process", ["one_cpu", "no_fork", "fork_fails"])
+    def test_artifacts_equal_without_fork(self, tmp_path, monkeypatch, forks,
+                                          assert_no_children, config, one_process):
+        cfg = config("sgld.K_iters = 1100\n")
         assert self.simulate(cfg, tmp_path / "forked") == (0, "")
         # the writer forks for the 1200-row trajectory tables, more rows than
         # it splits from, and writes the six-row timeline in process
@@ -402,9 +400,9 @@ class TestPrefetchedDraws:
         counts = [json.loads(line)["sample_count"] for line in
                   (tmp_path / "forked" / "estimates.jsonl").read_text().splitlines()]
         assert [count > 0 for count in counts] == [False, True, False, True, True, True]
-        if no_prefetch == "one_cpu":
+        if one_process == "one_cpu":
             monkeypatch.setattr(harness, "_can_offload", lambda: False)
-        elif no_prefetch == "no_fork":
+        elif one_process == "no_fork":
             monkeypatch.delattr(os, "fork")
         else:
             def fork():

@@ -70,14 +70,14 @@ class TestCheckBounds:
         assert crossed
         assert flags == {"K_L": False, "T_L": True}
 
-    def test_interval_overlap_mode_needs_clear_separation(self):
-        policy = MonitorPolicy(use_interval_overlap=True)
-        wide = estimate(1.2, 0.3, half_width=0.5)  # interval straddles the band
-        crossed, _ = check_bounds(wide, (1.0, 0.3), policy)
+    def test_posterior_mean_alone_decides(self):
+        # the posterior mean decides, however wide the credible interval
+        for half_width in (0.5, 0.01):
+            crossed, flags = check_bounds(estimate(1.2, 0.3, half_width=half_width),
+                                          (1.0, 0.3), POLICY)
+            assert crossed and flags == {"K_L": True, "T_L": False}
+        crossed, _ = check_bounds(estimate(1.1, 0.3, half_width=0.5), (1.0, 0.3), POLICY)
         assert not crossed
-        narrow = estimate(1.2, 0.3, half_width=0.01)
-        crossed, _ = check_bounds(narrow, (1.0, 0.3), policy)
-        assert crossed
 
 
 class TestEvaluate:
