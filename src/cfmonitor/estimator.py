@@ -147,6 +147,9 @@ class SgldHyper:
                              "chain keeps at least 2 samples")
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
+        if 1.0 / self.sigma_sq == math.inf:  # the window's sums are scaled by it
+            raise ValueError(f"sgld.sigma_sq = {self.sigma_sq:g} is too small: "
+                             "its reciprocal overflows")
 
     @property
     def burn_in(self) -> int:

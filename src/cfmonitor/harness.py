@@ -142,10 +142,16 @@ class RunReport:
     min_gap: float
 
 
-# characters on which np.loadtxt and the csv/float() row loop can disagree:
-# csv quoting, NUL, and the separators \x1c-\x1f, which numpy strips as
-# whitespace around a number but float() rejects
-_ROW_LOOP_ONLY = '"\0\x1c\x1d\x1e\x1f'
+# a header the fast reader takes: printable ASCII, no quote
+_PLAIN_HEADER = bytes(b for b in range(32, 127) if b != ord('"'))
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+_READ_CHUNK = 1 << 16  # bytes of whole lines parsed at a time
+# significant digits read as one int64: below 10**18, so never out of range
+_MAX_DIGITS = 18
+_MAX_FRACTION = 21  # digits after the point: _POW10 holds 10**0 to 10**21
+# bytes searched for a long cell's first significant digit: "-0." and four
+# more zeros, more than repr or "%.17g" print before using an exponent
+_LEAD_SPAN = 8
 
 
 def read_csv_columns(path, columns) -> np.ndarray:
@@ -156,42 +162,180 @@ def read_csv_columns(path, columns) -> np.ndarray:
     value is finite; other cells are ignored.  Raises ValueError for an
     empty file, missing columns, or the first malformed or non-finite row,
     by its number in the file.
-    Well-formed files are parsed with `np.loadtxt`; whenever it fails or
-    could disagree, the row loop decides."""
+    A file of plain decimal cells is parsed by `_plain_columns`; any other
+    file, or one in which it finds a fault, by the row loop, which decides
+    and names the row."""
+    with open(path, "rb") as fh:
+        data = _plain_columns(fh.read(), columns)
+    if data is not None:
+        return data
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
-    idx = [header.index(c) for c in columns]
-    text = "".join(lines)
-    # a blank first row is malformed; checking it here also keeps loadtxt
-    # from warning about a file of blank lines
-    if (len(lines) > 1 and lines[1].strip()
-            and not any(c in text for c in _ROW_LOOP_ONLY)):
-        try:
-            data = np.loadtxt(lines[1:], delimiter=",", usecols=idx,
-                              comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            # loadtxt skips blank lines, which the row loop rejects; the
-            # row loop also names the first non-finite row
-            if len(data) == len(lines) - 1 and np.isfinite(data).all():
-                return data
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            rows.append([float(row[i]) for i in idx])
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}: malformed row {lineno}") from None
-        if not all(map(math.isfinite, rows[-1])):
-            raise ValueError(f"{path}: non-finite value in row {lineno}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        idx = [header.index(c) for c in columns]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                rows.append([float(row[i]) for i in idx])
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: malformed row {lineno}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}: non-finite value in row {lineno}")
     return np.array(rows, dtype=float).reshape(len(rows), len(idx))
+
+
+def _plain_columns(data: bytes, columns) -> np.ndarray | None:
+    """The named columns of a CSV file's bytes, or None for the row loop.
+
+    Takes a printable, unquoted ASCII header that names every column, then
+    lines of exactly its width, ended by ``\\n`` or ``\\r\\n`` (the last may
+    have none), of cells of digits, points, signs, ``e`` and ``E``.  The
+    lines are parsed in chunks of about `_READ_CHUNK` bytes by
+    `_plain_rows`."""
+    end = data.find(b"\n")
+    head = data[:max(end, 0)].removesuffix(b"\r")
+    if end < 0 or head.translate(None, _PLAIN_HEADER):
+        return None
+    header = head.decode("ascii").split(",")
+    if any(c not in header for c in columns):
+        return None
+    idx = [header.index(c) for c in columns]
+    if idx == list(range(len(header))):
+        idx = slice(None)  # every column, in order: a view, not a copy
+    parts = [np.empty((0, len(columns)))]
+    lo = end + 1
+    while lo < len(data):
+        hi = len(data)
+        if hi - lo > _READ_CHUNK:  # up to the last line end in the chunk
+            hi = (data.rfind(b"\n", lo, lo + _READ_CHUNK) + 1
+                  or data.find(b"\n", lo + _READ_CHUNK) + 1 or hi)
+        chunk = data[lo:hi]
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        parts.append(_plain_rows(chunk, len(header), idx))
+        if parts[-1] is None:
+            return None
+        lo = hi
+    return np.concatenate(parts)
+
+
+def _plain_rows(chunk: bytes, width, idx) -> np.ndarray | None:
+    """Columns ``idx`` of lines of ``width`` cells, each line ending in
+    ``\\n``, as floats bit-identical to ``float(cell)``; None if a line
+    holds another byte or number of cells, or a named cell is not a finite
+    float.
+
+    With its point and sign deleted, the digits of each cell are read as
+    one int64 ``m`` (`np.fromstring`), ``k`` the digits after the point,
+    and `_quotient` rounds ``m / 10**k``.  A cell is plain when its bytes
+    below ``0`` are at most a minus sign as its first byte and then one
+    point, and it has a digit.  Any other cell is not given to
+    `np.fromstring` (its bytes are made ``0``), nor is one with ``e`` or
+    ``E``, more than `_MAX_DIGITS` significant digits or more than
+    `_MAX_FRACTION` digits after the point; if such a cell is named, or
+    `_quotient` cannot certify one, ``float()`` reads it."""
+    if b"\r" in chunk:
+        if chunk.count(b"\r") != chunk.count(b"\r\n"):
+            return None
+        chunk = chunk.replace(b"\r\n", b"\n")
+    buf = np.frombuffer(chunk, np.uint8)
+    special = np.flatnonzero(buf < 48)  # the digits are 48-57
+    kind = buf[special]
+    newline = kind == 10
+    if not (((kind >= 43) & (kind <= 46)) | newline).all():  # but \n + , - .
+        return None
+    last = np.flatnonzero(newline | (kind == 44))  # in special: a cell's end
+    ends = special[last]
+    rows = len(ends) // width
+    if (len(ends) != rows * width or np.count_nonzero(newline) != rows
+            or not (buf[ends[width - 1::width]] == 10).all()):
+        return None  # a line of more or fewer cells
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    length = ends - starts
+    if not length.all():
+        return None  # an empty cell or line
+    # a cell's signs and points: the `inner` entries of special before its end
+    first = np.concatenate(([0], last[:-1] + 1))
+    inner = last - first
+    negative = kind[first] == ord("-")
+    has_point = (inner > 0) & (kind[last - 1] == ord("."))
+    slow = ((inner - negative != has_point)
+            | (negative & (special[first] != starts)) | (length <= inner))
+    k = np.where(has_point, ends - special[last - 1] - 1, 0)
+    if buf.max() > ord("9"):
+        high = np.flatnonzero(buf > ord("9"))
+        if not ((buf[high] | 0x20) == ord("e")).all():
+            return None
+        slow[np.searchsorted(ends, high)] = True
+    long = np.flatnonzero(length - inner > _MAX_DIGITS)  # every cell with k > 21
+    if len(long):  # leading zeros in its first `_LEAD_SPAN` bytes do not count
+        # the offset of its first digit 1-9, or 0 where there is none
+        span = buf[starts[long, None] + np.arange(_LEAD_SPAN)]
+        at = (span > ord("0")).argmax(axis=1)
+        lead = at - negative[long] - (has_point[long] & (length[long] - k[long] <= at))
+        slow[long] |= ((length[long] - inner[long] - lead > _MAX_DIGITS)
+                       | (k[long] > _MAX_FRACTION))
+    text = chunk
+    if slow.any():
+        blank = np.flatnonzero(slow)
+        size = length[blank]
+        offset = np.repeat(starts[blank] - (np.cumsum(size) - size), size)
+        zeroed = buf.copy()
+        zeroed[offset + np.arange(size.sum())] = ord("0")
+        text = zeroed.tobytes()
+        k[blank] = 0
+    m = np.fromstring(text.translate(_NEWLINE_TO_COMMA, b".-")[:-1],
+                      dtype=np.int64, sep=",")
+    x, sure = _quotient(m.reshape(rows, width)[:, idx],
+                        k.reshape(rows, width)[:, idx])
+    np.negative(x, out=x, where=negative.reshape(rows, width)[:, idx])
+    slow = slow.reshape(rows, width)[:, idx] | ~sure
+    if slow.any():  # float() reads these, one at a time
+        r, c = np.nonzero(slow)
+        j = r * width + np.arange(width)[idx][c]
+        try:
+            x[r, c] = [float(chunk[a:b])
+                       for a, b in zip(starts[j].tolist(), ends[j].tolist())]
+        except ValueError:
+            return None
+        if not np.isfinite(x[r, c]).all():
+            return None
+    return x
+
+
+def _quotient(m, k):
+    """``m / 10**k`` rounded to the nearest double, for integers ``0 <= m
+    < 10**18`` and ``0 <= k <= 21``, and where the rounding is certain.
+
+    One division gives ``q``, within 1.5 units in the last place.  The
+    residual ``m - q * 10**k`` is exact but for rounding far below an
+    ulp: ``m = m_hi + m_lo`` in doubles, `_times_pow10` gives ``q * 10**k``
+    as ``hi + lo``, and ``m_hi - hi`` is exact (Sterbenz).  It moves ``q``
+    to ``x``.  ``x`` is certain where ``x``'s residual is below half the
+    gap to its neighbour on its side, by a margin (the gap below a power
+    of two is half as wide); exact ties, rounded to even by ``float()``,
+    are left uncertain."""
+    m_hi = m.astype(np.float64)
+    m_lo = (m - m_hi.astype(np.int64)).astype(np.float64)  # |m_lo| <= 64
+    scale = np.take(_POW10, k)
+    q = m_hi / scale
+    hi, lo = _times_pow10(q, k)
+    r = m_hi - hi
+    r += m_lo - lo
+    x = q + r / scale
+    r -= (x - q) * scale  # x - q is a few ulps, and its product exact
+    mantissa, e = np.frexp(x)
+    half = np.ldexp(scale, e - 54) * (1 - 2.0 ** -30)  # half an ulp, times 10**k
+    sure = np.abs(r) < half
+    power = mantissa == 0.5  # the gap below is half as wide
+    if power.any():
+        sure[power] &= r[power] > -0.5 * half[power]
+    return x, sure
 
 
 def load_leader(path) -> Trajectory:

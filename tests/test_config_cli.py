@@ -709,6 +709,24 @@ class TestCliSimulate:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["stability", "simulate", "estimate"])
+    def test_sigma_sq_reciprocal_overflow_rejected(self, tmp_path, capsys, command):
+        # rejected where each command loads its config, before a plant runs
+        # or a chain is sampled
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sgld.sigma_sq = 1e-309\n")
+        out = tmp_path / "out"
+        argv = {"stability": ["stability"],
+                "simulate": ["simulate", "--out", str(out)],
+                "estimate": ["estimate", str(tmp_path / "log.csv"), "--out", str(out)]}
+        (tmp_path / "log.csv").write_text(
+            "time,accel,demand\n" + "".join(f"{i / 100},0,0\n" for i in range(10)))
+        assert main(argv[command] + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "sgld.sigma_sq" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_overflowing_escalation_prints_no_warning(self, tmp_path, capsys):
         # the escalated time gap overflows the margins of every later
         # decision, whose bounds are numpy floats; pyproject.toml makes a

@@ -1,13 +1,17 @@
 """The CSV layer against row-by-row references: the artifact writer against
 `csv.writer` with ``repr(float(v))`` and ``int(v)`` cells, its float kernel
 against ``repr``, the reader against a `csv.reader` + ``float()`` row
-loop."""
+loop and its decimal parser against ``float()``, bit for bit."""
 import contextlib
 import csv
+import decimal
 import io
+import math
 import os
 import re
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -485,13 +489,24 @@ def write_text(path, text):
     path.write_bytes(text.encode("ascii"))
 
 
-NUMBER = st.floats(width=64).map(repr)
+def examples(n):
+    """``n`` examples, or the profile's count where that is more (as with
+    ``--hypothesis-profile thorough``)."""
+    return max(n, settings().max_examples)
+
+
+# a float as repr, numpy's "%.17g" (the benchmark's inputs), "%.15g" or
+# "%.6f" spell it
+NUMBER = st.tuples(st.floats(width=64),
+                   st.sampled_from(["%r", "%.17g", "%.15g", "%.6f"])).map(
+    lambda pair: pair[1] % pair[0])
 ODD_CELL = st.one_of(
     NUMBER.map(lambda s: f'"{s}"'),
     st.integers(1, 10**7).map(lambda i: f"{i:_}"),
     st.sampled_from(["", " ", "abc", "1e", "--1", "1.2.3", " 1.5", "1.5 ", "\t2",
                      "\x1c1", "1\x1f", "1_", "_1", "0x10", "nan", "-inf", "1e999",
-                     '"', '1"', '"1', '""', "1\x00", "#1"]),
+                     '"', '1"', '"1', '""', "1\x00", "#1", "1-5", "5-", "+-1", "1+",
+                     ".", "-", "-.", "5..", "1e5.5", "1\r5"]),
 )
 
 
@@ -548,14 +563,14 @@ LOG = ("time", "accel", "demand")
 
 class TestReaderMatchesRowLoop:
     @given(text=csv_texts(LEADER))
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=examples(300), deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_load_leader(self, csv_dir, text):
         path = csv_dir / "leader.csv"
         write_text(path, text)
         outcome, ref = reference_rows(text, LEADER)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # e.g. loadtxt's "no data"
+            warnings.simplefilter("error")  # the reader warns about nothing
             try:
                 traj = load_leader(path)
             except ValueError as exc:
@@ -577,7 +592,7 @@ class TestReaderMatchesRowLoop:
             assert getattr(traj, name).tobytes() == ref[:, k].tobytes()
 
     @given(text=csv_texts(LOG))
-    @settings(max_examples=120, deadline=None,
+    @settings(max_examples=examples(120), deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_cli_estimate(self, csv_dir, text):
         path = csv_dir / "log.csv"
@@ -617,9 +632,19 @@ class TestReaderCases:
         assert traj.speed.tolist() == [1.5, 1.5]
 
     def test_separator_control_characters_rejected(self, tmp_path):
-        # numpy strips \x1c-\x1f around a number; float() does not
+        # float() rejects the separators \x1c-\x1f, which numpy's parsers
+        # strip around a number as whitespace
         path = tmp_path / "leader.csv"
         write_text(path, self.HEADER + "0.0,0,1,0\n0.01,0\x1c,1,0\n")
+        with pytest.raises(ValueError, match=r"malformed row 3$"):
+            load_leader(path)
+
+    @pytest.mark.parametrize("cell", ["1-5", "5-", "1.5-", "-1-", "--1", "+-1", "1+",
+                                      ".", "-", "-.", "1.2.3", "5..", "1e5.5", "e5",
+                                      "1e", "0.0000000000000000000001e"])
+    def test_misplaced_signs_and_points_are_malformed(self, tmp_path, cell):
+        path = tmp_path / "leader.csv"
+        write_text(path, self.HEADER + f"0.0,0,1,0\n0.01,{cell},1,0\n")
         with pytest.raises(ValueError, match=r"malformed row 3$"):
             load_leader(path)
 
@@ -640,3 +665,157 @@ class TestReaderCases:
         write_text(path, text)
         got = harness.read_csv_columns(path, LOG)
         assert got.tobytes() == reference_rows(text, LOG)[1].tobytes()
+
+    def test_peak_memory(self, long_leader_csv):
+        # the file's bytes, the result and a chunk's work, with no copy of
+        # the body and no string per line
+        tracemalloc.start()
+        try:
+            traj = load_leader(long_leader_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 60001
+        assert peak < 2.5 * long_leader_csv.stat().st_size
+
+    def test_benchmark_spelling_parsed_exactly(self, long_leader_csv, monkeypatch,
+                                               no_row_loop):
+        # nearly every "%.17g" cell is certified by the parser: a reader
+        # that sent every cell to float() would match every bit test
+        calls = []
+        monkeypatch.setattr(harness, "float", lambda v: calls.append(v) or float(v),
+                            raising=False)
+        got = harness.read_csv_columns(long_leader_csv, LEADER)
+        assert len(calls) <= 0.001 * got.size
+        text = long_leader_csv.read_text()
+        assert got.tobytes() == reference_rows(text, LEADER)[1].tobytes()
+
+
+@pytest.fixture(scope="module")
+def long_leader_csv(tmp_path_factory):
+    """A 60 001-row leader printed as the benchmark prints its inputs."""
+    traj = synthetic_leader(long_scenario().leader_spec)
+    path = tmp_path_factory.mktemp("long") / "leader.csv"
+    np.savetxt(path, np.column_stack([traj.time, traj.position, traj.speed,
+                                      traj.accel]),
+               delimiter=",", fmt="%.17g", header=",".join(LEADER), comments="")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# the reader's decimal parser against float()
+
+
+@pytest.fixture
+def no_row_loop(monkeypatch):
+    """Fail where the decimal parser hands a file to the row loop."""
+    class NoCsv:
+        @staticmethod
+        def reader(*args, **kwargs):
+            raise AssertionError("the row loop read the file")
+
+    monkeypatch.setattr(harness, "csv", NoCsv)
+
+
+def assert_reads_as_float(path, cells, end="\n"):
+    """A file of one column ``x`` holding ``cells`` reads back as
+    ``float(cell)``, bit for bit."""
+    path.write_bytes(end.join(["x", *cells, ""]).encode())
+    got = harness.read_csv_columns(path, ["x"])[:, 0]
+    want = np.array([float(c) for c in cells])
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not len(bad), [(cells[i], got[i], want[i]) for i in bad[:10]]
+
+
+def midpoint_decimals():
+    """Decimals of 16-19 significant digits at, and 1 or 2 units in their
+    last digit from, the midpoint between adjacent doubles: where rounding
+    is hardest to certify.  The doubles include each power of two from
+    2**-12 to 2**40 and its lower neighbour, so that the midpoints just
+    below and just above each power, whose gaps differ, are tested."""
+    rng = np.random.default_rng(11)
+    powers = 2.0 ** np.arange(-12, 41)
+    doubles = np.concatenate([powers, np.nextafter(powers, 0),
+                              rng.uniform(0, 1, 40),
+                              rng.uniform(1, 2, 20) * 10.0 ** rng.integers(1, 15, 20)])
+    cells = []
+    for x in doubles.tolist():
+        mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        for digits in (16, 17, 18, 19):
+            near = decimal.Context(prec=digits).divide(
+                decimal.Decimal(mid.numerator), decimal.Decimal(mid.denominator))
+            unit = decimal.Decimal(1).scaleb(near.adjusted() - digits + 1)
+            for step in (-2, -1, 0, 1, 2):
+                cell = format(near + step * unit, "f")
+                cells += [cell, "-" + cell]
+    return cells
+
+
+class TestReaderExact:
+    def test_midpoints(self, tmp_path, no_row_loop):
+        assert_reads_as_float(tmp_path / "x.csv", midpoint_decimals())
+
+    def test_ties_go_to_float(self, tmp_path, monkeypatch, no_row_loop):
+        # halfway between doubles next to 2**53 (below it, the gap is half
+        # as wide): float() rounds them to even
+        cells = ["9007199254740993", "9007199254740991.5", "-9007199254740993",
+                 "9007199254740995", "4503599627370495.75"]
+        calls = []
+        monkeypatch.setattr(harness, "float", lambda v: calls.append(v) or float(v),
+                            raising=False)
+        assert_reads_as_float(tmp_path / "x.csv", cells)
+        assert [c.decode() for c in calls] == cells
+        assert harness.read_csv_columns(tmp_path / "x.csv", ["x"])[:2, 0].tolist() == [
+            9007199254740992.0, 9007199254740992.0]
+
+    def test_long_mantissas(self, tmp_path, no_row_loop):
+        # 18 digits fit an int64; 19 and 20 need not, and go to float()
+        cells = ["123456789012345678", "999999999999999999", "1234567890123456789",
+                 "9999999999999999999", "-9999999999999999999", "12345678901234567890",
+                 "99999999999999999999.5", "0.123456789012345678",
+                 "0.1234567890123456789", "0.01234567890123456789",
+                 "-0.0012345678901234567", "1.00000000000000000000",
+                 "00000000000000000000001.5", "0000.00000000000000000001"]
+        assert_reads_as_float(tmp_path / "x.csv", cells)
+
+    def test_odd_spellings(self, tmp_path, no_row_loop):
+        # leading zeros are not octal; signs, a bare point, the exponent
+        # form and fractions of 22 digits, of up to 18 significant ones
+        cells = ["0.0089", "0.0012", "0089", "-0.0", "-0", "0", "5.", ".5", "-.5",
+                 "+1.5", "1e-05", "1E+300", "-2.5e-7", "0.1234567890123456789012",
+                 "0.0000000000000000000001", "0.000000000000000000001",
+                 "0.0000123456789012345678", "-0.0000123456789012345678"]
+        assert_reads_as_float(tmp_path / "x.csv", cells)
+        got = harness.read_csv_columns(tmp_path / "x.csv", ["x"])[:, 0]
+        assert got[:2].tolist() == [0.0089, 0.0012]
+        assert np.signbit(got[3:5]).all()
+
+    @pytest.mark.parametrize("chunk", [16, 100, harness._READ_CHUNK])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("final_end", [True, False])
+    def test_rows_across_chunks(self, tmp_path, monkeypatch, no_row_loop, chunk,
+                                end, final_end):
+        # lines longer than a chunk, and lines split across chunk borders
+        monkeypatch.setattr(harness, "_READ_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        values = rng.standard_normal((4000, 4)) * 10.0 ** rng.integers(-3, 6, (4000, 4))
+        spell = rng.choice(["%r", "%.17g", "%.15g", "%.6f"], values.shape)
+        lines = ["accel,note,demand,time"] + [
+            ",".join(f % v for f, v in zip(fs, row))
+            for fs, row in zip(spell.tolist(), values.tolist())]
+        text = end.join(lines) + (end if final_end else "")
+        path = tmp_path / "log.csv"
+        write_text(path, text)
+        got = harness.read_csv_columns(path, LOG)
+        assert got.tobytes() == reference_rows(text, LOG)[1].tobytes()
+
+    @given(cells=st.lists(st.tuples(st.sampled_from(["", "-", "+"]),
+                                    st.text("0123456789", min_size=1, max_size=24),
+                                    st.integers(0, 25)), min_size=1, max_size=30))
+    @settings(deadline=None)
+    def test_decimal_spellings(self, csv_dir, cells):
+        # digit strings of up to 24 digits with a point anywhere, or none
+        text = [sign + (digits[:point] + "." + digits[point:]
+                        if point <= len(digits) else digits)
+                for sign, digits, point in cells]
+        assert_reads_as_float(csv_dir / "x.csv", text)
