@@ -119,8 +119,8 @@ def _read_log_csv(path):
 
 
 def _cmd_estimate(args) -> int:
-    accel, demand, t_s, t0 = _read_log_csv(args.csv)
     scenario = _load_scenario(args)
+    accel, demand, t_s, t0 = _read_log_csv(args.csv)
     batch = batch_from_series(accel, demand, t_s, t_start=t0)
     est = sgld_run(batch, scenario.prior, replace(scenario.sgld, seed=scenario.seed))
     payload = json.dumps(estimate_record(est), indent=2)

@@ -111,17 +111,16 @@ def scenario_from_config(values: dict[str, object]) -> ScenarioConfig:
             K_L_true=_pop_float(values, "plant.K_L_true", p0.K_L_true),
             sigma_eps=sigma0,
         ))]
-        if values.get("plant.switch_time", switch_time) is not None:
-            switch_time = _pop_float(values, "plant.switch_time", switch_time)
-            schedule.append((switch_time, PlantParams(
-                T_L_true=_pop_float(values, "plant.switch_T_L", p1.T_L_true),
-                K_L_true=_pop_float(values, "plant.switch_K_L", p1.K_L_true),
-                sigma_eps=_pop_float(values, "plant.switch_sigma_eps", p1.sigma_eps),
-            )))
+        switch = PlantParams(  # checked whether or not the switch is on
+            T_L_true=_pop_float(values, "plant.switch_T_L", p1.T_L_true),
+            K_L_true=_pop_float(values, "plant.switch_K_L", p1.K_L_true),
+            sigma_eps=_pop_float(values, "plant.switch_sigma_eps", p1.sigma_eps),
+        )
+        if values.get("plant.switch_time", switch_time) is None:
+            values.pop("plant.switch_time")
         else:
-            for k in ("plant.switch_time", "plant.switch_T_L", "plant.switch_K_L",
-                      "plant.switch_sigma_eps"):
-                values.pop(k, None)
+            schedule.append((_pop_float(values, "plant.switch_time", switch_time),
+                             switch))
 
         source = values.pop("leader.source", "synthetic")
         leader_csv = None if source == "synthetic" else str(source)

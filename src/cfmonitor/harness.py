@@ -611,8 +611,10 @@ def _min_gap(leader: Trajectory, follower: plant.SimulationResult) -> float:
 # and the float kernel's temporaries (about 240 bytes a value) take about
 # 1 MB, where a whole 60 000-row run would take tens of MB
 _EMIT_BLOCK = 2048
-# a table of more rows is split between this process and a forked helper
-_SPLIT_ROWS = 512
+# a table of more rows is split between this process and a forked helper,
+# measured no slower from 2816 rows on 2 CPUs: three trajectory tables took
+# 3.0 ms longer forked at 2048 rows, 0.3-0.5 ms less at 2816, 2.8-4.7 at 6001
+_SPLIT_ROWS = 2816
 # lines joined at a time: their bytes stay in the CPU caches
 _LINES = 256
 
@@ -813,8 +815,8 @@ def _format_blocks(sinks, tables, columns, rows, lo, hi) -> None:
     formatted once per block."""
     # a table's lines, _LINES at a time: the cells, each ending in a comma
     # but the last one, and a word holding the line end
-    lines = [np.zeros((_LINES, len(cols) * _CELL_WORDS + 1), np.uint64)
-             for _, _, cols in tables]
+    lines = [np.zeros((min(_LINES, n), len(cols) * _CELL_WORDS + 1), np.uint64)
+             for n, (_, _, cols) in zip(rows, tables)]
     for line in lines:
         line[:, -1] = np.frombuffer(b"\r\n".ljust(8, b"\0"), np.uint64)
     for b0 in range(lo, hi, _EMIT_BLOCK):
@@ -844,11 +846,11 @@ def write_csv_columns(tables) -> None:
 
     ``tables`` holds ``(path, header, columns)``; a file has as many rows
     as its shortest column.  Floats are printed by `_float_cells`, which
-    leaves few to ``repr``.  When `_can_offload` and the rows are more than
-    `_SPLIT_ROWS`, a forked child formats the rows from the middle one on,
-    of every file, into anonymous temporary files in that file's directory
-    while this process writes the first half; the child's halves are then
-    appended."""
+    leaves few to ``repr``.  When `_can_offload` and the longest file has
+    more rows than `_SPLIT_ROWS`, one forked child formats every file's rows
+    from the longest's middle row on into anonymous temporary files, each in
+    its file's directory, while this process writes the rows before; the
+    child's parts are then appended."""
     columns = {id(col): np.asarray(col)
                for _, _, cols in tables for col in cols}
     rows = [min(len(col) for col in cols) for _, _, cols in tables]
@@ -944,7 +946,8 @@ def _decisions_jsonl(report: RunReport, path) -> None:
 
 
 def emit_outputs(report: RunReport, out_dir) -> list[str]:
-    """Write all run artifacts into ``out_dir``; returns the paths."""
+    """Write all run artifacts into ``out_dir``; returns the paths.  The four
+    CSV tables are written by one `write_csv_columns` call, one fork at most."""
     os.makedirs(out_dir, exist_ok=True)
     names = ["leader.csv", "follower.csv", "estimates.jsonl", "decisions.jsonl",
              "estimate_timeline.csv", "overlay.csv", "summary.json"]
@@ -956,6 +959,10 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
     time = f.time
     if time.dtype == lead.time.dtype and time.tobytes() == lead.time[:n].tobytes():
         time = lead.time
+    est = np.array([(rec.t_end, rec.estimate.K_L, *rec.estimate.credible[0],
+                     rec.estimate.T_L, *rec.estimate.credible[1])
+                    for rec in report.windows]).reshape(-1, 7)
+    anomaly = np.array([rec.decision.anomaly for rec in report.windows], dtype=int)
     try:
         write_csv_columns([
             (paths["leader.csv"], LEADER_COLUMNS,
@@ -964,18 +971,10 @@ def emit_outputs(report: RunReport, out_dir) -> list[str]:
              (time, f.position, f.speed, f.accel, f.jerk, f.demanded_accel)),
             (paths["overlay.csv"], OVERLAY_COLUMNS,
              (time, lead.speed, lead.accel, f.speed, f.accel)),
+            (paths["estimate_timeline.csv"], TIMELINE_COLUMNS, (*est.T, anomaly)),
         ])
         _estimates_jsonl(report, paths["estimates.jsonl"])
         _decisions_jsonl(report, paths["decisions.jsonl"])
-        # a call of its own, so the trajectory tables split as before; at a
-        # row per window it forks only past _SPLIT_ROWS windows
-        est = np.array([(rec.t_end, rec.estimate.K_L, *rec.estimate.credible[0],
-                         rec.estimate.T_L, *rec.estimate.credible[1])
-                        for rec in report.windows]).reshape(-1, 7)
-        anomaly = np.array([rec.decision.anomaly for rec in report.windows],
-                           dtype=int)
-        write_csv_columns([(paths["estimate_timeline.csv"], TIMELINE_COLUMNS,
-                            (*est.T, anomaly))])
         with open(paths["summary.json"], "w") as fh:
             json.dump({
                 "samples": len(report.follower),

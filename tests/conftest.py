@@ -1,10 +1,9 @@
-"""Fixtures for the forked helper of `cfmonitor.harness`: the float-table
-writer's formatter.  Also the ``thorough`` hypothesis profile, for
-``--hypothesis-profile thorough``: many more examples for the property tests
-that leave their example count to the profile (the float kernel's oracle
-tests among them)."""
+"""Fixtures for the forked helper of `cfmonitor.harness`, the float-table
+writer's formatter: a count of its forks, and a lower split for small
+tables.  Also the ``thorough`` hypothesis profile, for ``--hypothesis-profile
+thorough``: many more examples for the property tests that leave their
+example count to the profile (the float kernel's oracle tests among them)."""
 import os
-import sys
 
 import pytest
 from hypothesis import settings
@@ -13,27 +12,32 @@ from cfmonitor import harness
 
 settings.register_profile("thorough", max_examples=5000)
 
+# a split below the writer's own, for tables of a few hundred rows
+SMALL_SPLIT = 512
+
 
 @pytest.fixture
 def forks(monkeypatch):
     """A helper wherever the platform can fork, however many CPUs are usable,
-    and a list that gets, per fork the harness makes, the name of the
-    harness function that asked for it (``write_csv_columns``)."""
+    and a list that gets the process id of each child forked (the CSV
+    writer's helper is the one fork site)."""
     monkeypatch.setattr(harness, "_can_offload", lambda: hasattr(os, "fork"))
-    calls = []
+    pids = []
     real_fork = os.fork
 
     def fork():
-        frame = sys._getframe(1)
-        # past the shared helper and contextlib's frames
-        while (frame.f_code.co_filename != harness.__file__
-               or frame.f_code.co_name == "_forked"):
-            frame = frame.f_back
-        calls.append(frame.f_code.co_name)
-        return real_fork()
+        pids.append(real_fork())
+        return pids[-1]
 
     monkeypatch.setattr(os, "fork", fork)
-    return calls
+    return pids
+
+
+@pytest.fixture
+def small_split(monkeypatch):
+    """The writer splits tables of more than `SMALL_SPLIT` rows."""
+    monkeypatch.setattr(harness, "_SPLIT_ROWS", SMALL_SPLIT)
+    return SMALL_SPLIT
 
 
 @pytest.fixture

@@ -186,6 +186,13 @@ class TestConfigHoles:
     @pytest.mark.parametrize("line,message", [
         ("plant.switch_time = [1]", "plant.switch_time: expected a finite number"),
         ("plant.switch_time = NaN", "plant.switch_time: expected a finite number"),
+        # a disabled switch's keys are checked as an enabled one's
+        ('plant.switch_time = null\nplant.switch_T_L = "junk"',
+         "plant.switch_T_L: expected a finite number"),
+        ("plant.switch_time = null\nplant.switch_K_L = NaN",
+         "plant.switch_K_L: expected a finite number"),
+        ("plant.switch_time = null\nplant.switch_sigma_eps = -1",
+         "sigma_eps must be non-negative"),
         ("sgld.K_iters = 1e400", "sgld.K_iters: expected an integer"),
         ("sgld.K_iters = NaN", "sgld.K_iters: expected an integer"),
         ("sgld.K_iters = 1" + "0" * 400, "too large"),
@@ -416,6 +423,18 @@ class TestCliEstimate:
                              "sample_count", "low_confidence"]
         assert line0["window"] == 0 and list(line0)[-len(est):] == list(est)
         assert est == {k: line0[k] for k in est}
+
+    @pytest.mark.parametrize("log_text", [None, "time,accel\n0,1\n"],
+                             ids=["missing", "malformed"])
+    def test_config_checked_before_log(self, tmp_path, capsys, log_text):
+        log = tmp_path / "log.csv"
+        if log_text is not None:
+            log.write_text(log_text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("bogus.key = 1\n")
+        assert main(["estimate", str(log), "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bogus.key" in err
 
     def test_seed_from_config_unless_given(self, tmp_path):
         log = tmp_path / "log.csv"

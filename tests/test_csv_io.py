@@ -34,9 +34,11 @@ from cfmonitor.harness import (
 from cfmonitor.estimator import PosteriorEstimate, SgldHyper
 from cfmonitor.monitor import Action, StrategyDecision
 from cfmonitor.plant import ControllerConfig, PlantParams, Trajectory
+from conftest import SMALL_SPLIT
 
 BLOCK = harness._EMIT_BLOCK  # rows the float kernel formats at a time
 SPLIT = harness._SPLIT_ROWS  # a table of more rows is split with a helper
+LINES = harness._LINES  # lines joined at a time
 
 
 def reference_csv(path, header, columns, rows):
@@ -84,7 +86,7 @@ def assert_trajectory_csvs_match(report, out_dir, ref_dir):
 
 
 class TestEmissionMatchesCsvWriter:
-    def test_closed_loop_run(self, tmp_path):
+    def test_closed_loop_run(self, tmp_path, small_split):
         spec = SyntheticLeaderSpec(segments=(
             LeaderSegment(2.0, 0.0), LeaderSegment(2.0, -1.0),
             LeaderSegment(2.0, 1.0), LeaderSegment(2.0, 0.0),
@@ -93,7 +95,7 @@ class TestEmissionMatchesCsvWriter:
             controller=ControllerConfig(),
             schedule=[(0.0, PlantParams(0.3, 1.0, 0.05)), (4.0, PlantParams(1.5, 0.5, 0.3))],
             leader_spec=spec, sgld=SgldHyper(K_iters=200), seed=1))
-        assert len(report.follower) > SPLIT and len(report.follower) % SPLIT
+        assert len(report.follower) > small_split and len(report.follower) % small_split
         assert any(rec.decision.anomaly for rec in report.windows)
         emit_outputs(report, tmp_path / "out")
         (tmp_path / "ref").mkdir()
@@ -114,9 +116,11 @@ class TestEmissionMatchesCsvWriter:
         (tmp_path / "ref").mkdir()
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
 
-    @pytest.mark.parametrize("rows", [1, SPLIT, SPLIT + 1, 2 * SPLIT + 7, BLOCK - 1,
-                                      BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, SMALL_SPLIT, SMALL_SPLIT + 1,
+                                      2 * SMALL_SPLIT + 7, BLOCK - 1, BLOCK,
+                                      BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("shared_time", [True, False])
+    @pytest.mark.usefixtures("small_split")
     def test_block_edges_and_odd_values(self, tmp_path, rows, shared_time):
         odd = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16,
                         1e-5, 0.1, 123456789.125, -2.5e-7])
@@ -155,9 +159,9 @@ def random_report(rows, follower_rows):
     return RunReport(leader, follower, [], 2.0, None, None, 0.0, 0.0, 0.0)
 
 
-def windowed_report(windows):
-    """A five-row run with ``windows`` made-up windows, whose estimates hold
-    odd floats and every third of which is an anomaly."""
+def windowed_report(windows, rows):
+    """A ``rows``-row run with ``windows`` made-up windows, whose estimates
+    hold odd floats and every third of which is an anomaly."""
     rng = np.random.default_rng(windows)
     odd = [-0.0, 1e-300, 5e-324, 1e16, 123456789.125, -2.5e-7]
     values = np.resize(np.concatenate([odd, rng.standard_normal(6 * windows)]),
@@ -168,7 +172,7 @@ def windowed_report(windows):
         PosteriorEstimate(np.zeros((2, 2)), v[:2], np.eye(2), v[2:].reshape(2, 2)),
         StrategyDecision(w % 3 == 0, None, Action.NONE, cfg), False)
         for w, v in enumerate(values)]
-    report = random_report(5, 5)
+    report = random_report(rows, rows)
     report.windows = records
     return report
 
@@ -188,17 +192,20 @@ def make_formatter_fail(monkeypatch, in_child,
     monkeypatch.setattr(harness, "_float_cells", bad_float_cells)
 
 
-TABLES = {"leader.csv", "follower.csv", "overlay.csv"}
+TABLES = {"leader.csv", "follower.csv", "overlay.csv", "estimate_timeline.csv"}
 
 
 class TestSplitWriter:
-    @pytest.mark.parametrize("rows", [1, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT,
-                                      2 * SPLIT + 1, 3 * SPLIT + 1, 2 * BLOCK - 1,
+    @pytest.mark.parametrize("rows", [1, 2 * LINES - 1, 2 * LINES, 2 * LINES + 1,
+                                      4 * LINES, 4 * LINES + 1, 6 * LINES + 1,
+                                      SPLIT - 1, SPLIT, SPLIT + 1, 2 * BLOCK - 1,
                                       2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1])
     def test_bytes_equal_csv_writer(self, tmp_path, forks, rows,
                                     assert_no_children):
-        # at 2 * BLOCK - 1, 2 * BLOCK and 2 * BLOCK + 1 rows, one half ends
-        # a row short of, at or a row past a block's end
+        # the writer's own split: below it, one process writes tables that
+        # end a line short of, at or a line past a group of LINES lines; at
+        # 2 * BLOCK - 1, 2 * BLOCK and 2 * BLOCK + 1 rows, one half ends a
+        # row short of, at or a row past a block's end
         report = random_report(rows, rows)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == (rows > SPLIT)
@@ -206,11 +213,11 @@ class TestSplitWriter:
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
         assert_no_children()
 
-    @pytest.mark.parametrize("follower_rows", [0, SPLIT + 5, 1024, 1025, 1026])
-    def test_file_ends_before_split(self, tmp_path, forks, follower_rows):
+    @pytest.mark.parametrize("follower_rows", [0, SMALL_SPLIT + 5, 1024, 1025, 1026])
+    def test_file_ends_before_split(self, tmp_path, forks, small_split, follower_rows):
         # a collision run: the follower and overlay end in the first half,
         # or a row before, at or after the middle one, 1025
-        report = random_report(4 * SPLIT + 3, follower_rows)
+        report = random_report(4 * small_split + 3, follower_rows)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == 1
         (tmp_path / "ref").mkdir()
@@ -236,28 +243,29 @@ class TestSplitWriter:
                     == (tmp_path / "split" / name).read_bytes()), name
         assert set(os.listdir(tmp_path / "one")) == set(os.listdir(tmp_path / "split"))
 
-    @pytest.mark.parametrize("windows", [30, 2 * SPLIT + 7])
+    @pytest.mark.parametrize("windows", [30, 2 * SMALL_SPLIT + 7])
     @pytest.mark.parametrize("one_process", [False, True],
                              ids=["forked", "one_process"])
     def test_timeline_bytes_equal_csv_writer(self, tmp_path, monkeypatch, forks,
-                                             windows, one_process):
-        # the timeline is written by a call of its own, which forks once its
-        # rows are more than SPLIT
+                                             small_split, windows, one_process):
+        # the timeline is written with the trajectory tables, by one call
+        # that forks once however many of them have more rows than the split
         if one_process:
             monkeypatch.setattr(harness, "_can_offload", lambda: False)
-        report = windowed_report(windows)
+        report = windowed_report(windows, 4 * small_split + 3)
         emit_outputs(report, tmp_path / "out")
-        assert len(forks) == (windows > SPLIT and not one_process)
+        assert len(forks) == (not one_process)
         (tmp_path / "ref").mkdir()
         assert_timeline_csv_matches(report, tmp_path / "out", tmp_path / "ref")
+        assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
 
     def test_child_failure_raises_oserror(self, tmp_path, monkeypatch, forks,
-                                          assert_no_children):
+                                          small_split, assert_no_children):
         make_formatter_fail(monkeypatch, in_child=True)
         out = tmp_path / "out"
         with pytest.raises(OSError, match=r"rows from 1024 on ended with code 1: "
                                           r"RuntimeError: formatter failed$"):
-            emit_outputs(random_report(4 * SPLIT, 4 * SPLIT), out)
+            emit_outputs(random_report(4 * small_split, 4 * small_split), out)
         assert len(forks) == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
@@ -271,7 +279,7 @@ class TestSplitWriter:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
         assert "I/O error: failed writing outputs under" in capsys.readouterr().err
         # the closed loop's SGLD chains fork nothing
-        assert forks == ["write_csv_columns"]
+        assert len(forks) == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
 
@@ -292,7 +300,7 @@ class TestSplitWriter:
         err = capsys.readouterr().err
         assert err.startswith("I/O error: failed writing outputs under")
         assert "[Errno 28] No space left on device" in err
-        assert forks == ([] if one_process else ["write_csv_columns"])
+        assert len(forks) == (not one_process)
         assert_no_children()
 
     def test_cpu_set_left_alone(self, tmp_path, monkeypatch, forks,
@@ -305,17 +313,17 @@ class TestSplitWriter:
         monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
         column = np.arange(3 * SPLIT, dtype=float) / 7
         harness.write_csv_columns([(tmp_path / "x.csv", ["x"], [column])])
-        assert forks == ["write_csv_columns"]
+        assert len(forks) == 1
         reference_csv(tmp_path / "ref.csv", ["x"], [column], len(column))
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert_no_children()
 
     def test_parent_failure_reaps_child(self, tmp_path, monkeypatch, forks,
-                                        assert_no_children):
+                                        small_split, assert_no_children):
         make_formatter_fail(monkeypatch, in_child=False)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="formatter failed"):
-            emit_outputs(random_report(4 * SPLIT, 4 * SPLIT), out)
+            emit_outputs(random_report(4 * small_split, 4 * small_split), out)
         assert len(forks) == 1
         assert_no_children()
         assert set(os.listdir(out)) <= TABLES
