@@ -6,12 +6,14 @@ One typed key per line with dotted section names, e.g.::
     plant.switch_time = 26
     leader.source = synthetic
 
-Unset keys fall back to the default scenario.
+Unset keys fall back to the default scenario; a key set twice is an error.
+A ``#`` starts a comment, except between double quotes.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 
 from .estimator import GaussianPrior, SgldHyper
 from .harness import ScenarioConfig, default_scenario
@@ -27,9 +29,14 @@ class ConfigError(ValueError):
 
 def parse_config_file(path) -> dict[str, object]:
     values: dict[str, object] = {}
+    first: dict[str, int] = {}  # the line setting each key
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # the line up to its comment: a '#' between double quotes is text
+            content = re.match(r'(?:[^"#\n]|"(?:[^"\\\n]|\\.)*")*', raw)
+            if raw[content.end():].startswith('"'):
+                raise ConfigError(f"{path}:{lineno}: unterminated quoted value")
+            line = content.group().strip()
             if not line:
                 continue
             if "=" not in line:
@@ -38,6 +45,9 @@ def parse_config_file(path) -> dict[str, object]:
             key, val = key.strip(), val.strip()
             if not key:
                 raise ConfigError(f"{path}:{lineno}: empty key")
+            if first.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: {key} is set again, first "
+                                  f"on line {first[key]}")
             try:
                 values[key] = json.loads(val)
             except json.JSONDecodeError:

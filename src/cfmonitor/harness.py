@@ -607,23 +607,23 @@ def _min_gap(leader: Trajectory, follower: plant.SimulationResult) -> float:
 # ---------------------------------------------------------------------------
 # output emission
 
-# rows formatted per block: a block's cells (48 bytes each, up to 9 columns)
-# and the float kernel's temporaries (about 240 bytes a value) take about
-# 1 MB, where a whole 60 000-row run would take tens of MB
-_EMIT_BLOCK = 2048
+# rows formatted per block, all of a block's float columns in one kernel
+# call: a run's 9 columns make 4608 values, about 96 ns each, where a call
+# costs about 100 us however small and a 2048-row block (120 ns a value at
+# 2048, 150 at 18 432) spills the caches.  The cells (48 bytes each) and the
+# kernel's temporaries (about 240 bytes a value) peak at 1.4 MB traced;
+# 768-row blocks write faster but trace 1.9 MB
+_EMIT_BLOCK = 512
 # a table of more rows is split between this process and a forked helper,
-# measured no slower from 2816 rows on 2 CPUs: three trajectory tables took
-# 3.0 ms longer forked at 2048 rows, 0.3-0.5 ms less at 2816, 2.8-4.7 at 6001
-_SPLIT_ROWS = 2816
-# lines joined at a time: their bytes stay in the CPU caches
-_LINES = 256
+# no slower from 4096 rows on 2 CPUs: three trajectory tables took 1.6-1.8 ms
+# longer forked at 2048 rows, -0.2 to +0.1 ms at 4096, 1.4-1.9 ms less at 6001
+_SPLIT_ROWS = 4096
 
 # a cell: 48 bytes, that is 24 two-byte slots.  Slot j's first byte holds
 # digit j of the 24-digit, zero-padded decimal integer C the kernel prints
 # (or NUL), its second byte the decimal point, the sign or NUL; byte 47
 # holds the comma after the cell.  NUL bytes are dropped when a line is
 # written, so a cell reads as its characters in order.
-_CELL_WORDS = 6
 _POW10 = np.array([float(10 ** i) for i in range(22)])  # exact
 _VELTKAMP = 2.0 ** 27 + 1  # splits a double into two 26-bit halves
 _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
@@ -803,39 +803,30 @@ def _float_cells(x) -> np.ndarray:
     return cells
 
 
-def _column_cells(col) -> np.ndarray:
-    if col.dtype.kind in "biu":
-        return _cells([b"%d" % v for v in col.tolist()])
-    return _float_cells(col)
-
-
 def _format_blocks(sinks, tables, columns, rows, lo, hi) -> None:
     """Write rows ``[lo, hi)`` of each table to its sink, one block at a
-    time.  A column shared by several tables (the same array object) is
-    formatted once per block."""
-    # a table's lines, _LINES at a time: the cells, each ending in a comma
-    # but the last one, and a word holding the line end
-    lines = [np.zeros((min(_LINES, n), len(cols) * _CELL_WORDS + 1), np.uint64)
-             for n, (_, _, cols) in zip(rows, tables)]
-    for line in lines:
-        line[:, -1] = np.frombuffer(b"\r\n".ljust(8, b"\0"), np.uint64)
+    time.  One `_float_cells` call per block formats every float column,
+    a column shared by several tables (the same array object) once."""
+    end = np.frombuffer(b"\r\n".ljust(8, b"\0"), np.uint64)
     for b0 in range(lo, hi, _EMIT_BLOCK):
         b1 = min(b0 + _EMIT_BLOCK, hi)
-        cells = {}
-        for fh, n, (_, _, cols), line in zip(sinks, rows, tables, lines):
-            count = min(n, b1) - b0
-            if count <= 0:
+        parts = {key: col[b0:b1] for key, col in columns.items() if len(col) > b0}
+        cells = {key: _cells([b"%d" % v for v in part.tolist()])
+                 for key, part in parts.items() if part.dtype.kind in "biu"}
+        floats = [key for key in parts if key not in cells]
+        if floats:
+            flat = _float_cells(np.concatenate([parts[key] for key in floats]))
+            at = np.cumsum([len(parts[key]) for key in floats])
+            cells.update(zip(floats, np.split(flat, at[:-1])))
+        for fh, n, (_, _, cols) in zip(sinks, rows, tables):
+            if n <= b0:
                 continue
-            for col in cols:
-                if id(col) not in cells:
-                    cells[id(col)] = _column_cells(columns[id(col)][b0:b1])
-            for r0 in range(0, count, _LINES):
-                part = line[:min(_LINES, count - r0)]
-                for j, col in enumerate(cols):
-                    part[:, j * _CELL_WORDS:(j + 1) * _CELL_WORDS] = (
-                        cells[id(col)][r0:r0 + len(part)])
-                part.view(np.uint8)[:, len(cols) * 48 - 1] = 0  # no comma at the end
-                fh.write(part.tobytes().translate(None, b"\0"))
+            count = min(n, b1) - b0
+            # the cells, each ending in a comma but the last, and the line end
+            line = np.concatenate([*(cells[id(col)][:count] for col in cols),
+                                   np.broadcast_to(end, (count, 1))], axis=1)
+            line.view(np.uint8)[:, len(cols) * 48 - 1] = 0
+            fh.write(line.tobytes().translate(None, b"\0"))
 
 
 def write_csv_columns(tables) -> None:
@@ -854,8 +845,7 @@ def write_csv_columns(tables) -> None:
     columns = {id(col): np.asarray(col)
                for _, _, cols in tables for col in cols}
     rows = [min(len(col) for col in cols) for _, _, cols in tables]
-    end = max(rows)
-    mid = end
+    mid = end = max(rows)
     tails = []
 
     def format_tail():

@@ -128,6 +128,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=":2: empty key"):
             parse_config_file(path)
 
+    def test_hash_between_quotes_is_text(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(
+            'leader.source = "runs#2/lead.csv"  # a "quoted" comment\n'
+            'monitor.escalation = "gains"#comment\n'
+            "seed = 7 # a comment\n"
+            'prior.variance = 2 # "an unterminated quote in a comment\n'
+            "leader.smoothing_width = 0.5#\"\n"
+        )
+        assert parse_config_file(path) == {
+            "leader.source": "runs#2/lead.csv", "monitor.escalation": "gains",
+            "seed": 7, "prior.variance": 2, "leader.smoothing_width": 0.5}
+
+    def test_hash_in_quoted_path_runs(self, tmp_path, capsys):
+        (tmp_path / "a#b").mkdir()
+        save_trajectory(synthetic_leader(default_leader_spec()),
+                        tmp_path / "a#b" / "lead.csv")
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f'leader.source = "{tmp_path}/a#b/lead.csv"\n'
+                       "sgld.K_iters = 100\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 6001
+
+    def test_unterminated_quote_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('seed = 1\nleader.source = "a#b/lead.csv\n')
+        assert main(["stability", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {cfg}:2: unterminated quoted value\n"
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("controller.k_s = 1.5\nseed = 1\ncontroller.k_s = 9\n")
+        assert main(["stability", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {cfg}:3: controller.k_s is set again, "
+                       "first on line 1\n")
+
     def test_scenario_from_values(self):
         sc = scenario_from_config({
             "controller.tau_star": 1.5,
@@ -310,6 +351,15 @@ class TestCliStability:
         assert main(["stability", "--sweep", "k_s", "k_v"]) == 2
         # the verdict is not printed before the error
         assert capsys.readouterr().out == ""
+
+    def test_failed_region_write_prints_nothing(self, tmp_path, capsys):
+        # the region CSV is written before the verdict is printed
+        out_csv = tmp_path / "missing" / "region.csv"
+        assert main(["stability", "--sweep", "k_s", "k_v", "--range", "0:5:11",
+                     "0:5:11", "--out", str(out_csv)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("I/O error: ")
+        assert str(out_csv) in err
 
     @pytest.mark.parametrize("sweep", [["k_s", "foo"], ["k_v", "k_v"]])
     def test_bad_sweep_name_prints_nothing(self, tmp_path, capsys, sweep):

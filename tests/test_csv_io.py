@@ -36,9 +36,8 @@ from cfmonitor.monitor import Action, StrategyDecision
 from cfmonitor.plant import ControllerConfig, PlantParams, Trajectory
 from conftest import SMALL_SPLIT
 
-BLOCK = harness._EMIT_BLOCK  # rows the float kernel formats at a time
+BLOCK = harness._EMIT_BLOCK  # rows formatted at a time
 SPLIT = harness._SPLIT_ROWS  # a table of more rows is split with a helper
-LINES = harness._LINES  # lines joined at a time
 
 
 def reference_csv(path, header, columns, rows):
@@ -116,9 +115,11 @@ class TestEmissionMatchesCsvWriter:
         (tmp_path / "ref").mkdir()
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
 
-    @pytest.mark.parametrize("rows", [1, SMALL_SPLIT, SMALL_SPLIT + 1,
-                                      2 * SMALL_SPLIT + 7, BLOCK - 1, BLOCK,
-                                      BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1])
+    # 511 and 512 rows: one process ends a row short of or at a 512-row
+    # block; from 1023 to 4097, each forked half ends a row short of, at or
+    # a row past one, two or four blocks
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1023, 1024, 1025, 1031,
+                                      2047, 2048, 2049, 4095, 4097])
     @pytest.mark.parametrize("shared_time", [True, False])
     @pytest.mark.usefixtures("small_split")
     def test_block_edges_and_odd_values(self, tmp_path, rows, shared_time):
@@ -137,6 +138,22 @@ class TestEmissionMatchesCsvWriter:
         emit_outputs(report, tmp_path / "out")
         (tmp_path / "ref").mkdir()
         assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
+
+    def test_one_kernel_call_per_block(self, tmp_path, monkeypatch):
+        # a block's float columns, from all four tables and each shared one
+        # once, are printed by one kernel call: the trajectory tables' 9
+        # distinct columns, and in the first block the timeline's 7 too
+        monkeypatch.setattr(harness, "_can_offload", lambda: False)
+        real = harness._float_cells
+        calls = []
+        monkeypatch.setattr(harness, "_float_cells",
+                            lambda x: calls.append(len(x)) or real(x))
+        report = windowed_report(30, 3 * BLOCK + 1)
+        emit_outputs(report, tmp_path / "out")
+        assert calls == [9 * BLOCK + 7 * 30, 9 * BLOCK, 9 * BLOCK, 9]
+        (tmp_path / "ref").mkdir()
+        assert_trajectory_csvs_match(report, tmp_path / "out", tmp_path / "ref")
+        assert_timeline_csv_matches(report, tmp_path / "out", tmp_path / "ref")
 
     def test_save_trajectory(self, tmp_path):
         traj = synthetic_leader(harness.default_leader_spec())
@@ -196,16 +213,15 @@ TABLES = {"leader.csv", "follower.csv", "overlay.csv", "estimate_timeline.csv"}
 
 
 class TestSplitWriter:
-    @pytest.mark.parametrize("rows", [1, 2 * LINES - 1, 2 * LINES, 2 * LINES + 1,
-                                      4 * LINES, 4 * LINES + 1, 6 * LINES + 1,
-                                      SPLIT - 1, SPLIT, SPLIT + 1, 2 * BLOCK - 1,
-                                      2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1024, 1025, 1537, 2815,
+                                      2816, 2817, 4095, 4096, 4097, 6145])
     def test_bytes_equal_csv_writer(self, tmp_path, forks, rows,
                                     assert_no_children):
         # the writer's own split: below it, one process writes tables that
-        # end a line short of, at or a line past a group of LINES lines; at
-        # 2 * BLOCK - 1, 2 * BLOCK and 2 * BLOCK + 1 rows, one half ends a
-        # row short of, at or a row past a block's end
+        # end a row short of, at or a row past one, two or three 512-row
+        # blocks, or end mid-block (2815 to 2817 rows); 4095, 4096 and 4097
+        # rows pin the split; at 6145 rows one half ends at a block's end,
+        # the other a row past one
         report = random_report(rows, rows)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == (rows > SPLIT)
@@ -226,7 +242,7 @@ class TestSplitWriter:
 
     @pytest.mark.parametrize("no_split", ["one_cpu", "no_fork", "fork_fails"])
     def test_one_process_same_bytes(self, tmp_path, monkeypatch, forks, no_split):
-        report = random_report(3 * BLOCK + 1, 3 * BLOCK - 2)
+        report = random_report(6145, 6142)
         emit_outputs(report, tmp_path / "split")
         if no_split == "one_cpu":
             monkeypatch.setattr(harness, "_can_offload", lambda: False)
