@@ -18,6 +18,7 @@ import numpy as np
 
 from . import plant, stability
 from .config import ConfigError, parse_config_file, scenario_from_config
+from .csvio import read_csv_columns, write_csv_columns
 from .estimator import batch_from_series, sgld_run
 from .harness import (
     default_leader_spec,
@@ -25,11 +26,9 @@ from .harness import (
     emit_outputs,
     estimate_record,
     json_margins,
-    read_csv_columns,
     run_closed_loop,
     save_trajectory,
     synthetic_leader,
-    write_csv_columns,
 )
 
 EXIT_OK = 0

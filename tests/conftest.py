@@ -8,7 +8,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from cfmonitor import harness
+from cfmonitor import csvio
 
 settings.register_profile("thorough", max_examples=5000)
 
@@ -21,7 +21,7 @@ def forks(monkeypatch):
     """A helper wherever the platform can fork, however many CPUs are usable,
     and a list that gets the process id of each child forked (the CSV
     writer's helper is the one fork site)."""
-    monkeypatch.setattr(harness, "_can_offload", lambda: hasattr(os, "fork"))
+    monkeypatch.setattr(csvio, "_can_offload", lambda: hasattr(os, "fork"))
     pids = []
     real_fork = os.fork
 
@@ -36,7 +36,7 @@ def forks(monkeypatch):
 @pytest.fixture
 def small_split(monkeypatch):
     """The writer splits tables of more than `SMALL_SPLIT` rows."""
-    monkeypatch.setattr(harness, "_SPLIT_ROWS", SMALL_SPLIT)
+    monkeypatch.setattr(csvio, "_SPLIT_ROWS", SMALL_SPLIT)
     return SMALL_SPLIT
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cfmonitor import harness, plant
+from cfmonitor import csvio, harness, plant
 from cfmonitor.cli import main
 from cfmonitor.harness import (
     LeaderSegment,
@@ -36,8 +36,8 @@ from cfmonitor.monitor import Action, StrategyDecision
 from cfmonitor.plant import ControllerConfig, PlantParams, Trajectory
 from conftest import SMALL_SPLIT
 
-BLOCK = harness._EMIT_BLOCK  # rows formatted at a time
-SPLIT = harness._SPLIT_ROWS  # a table of more rows is split with a helper
+BLOCK = csvio._EMIT_BLOCK  # rows formatted at a time
+SPLIT = csvio._SPLIT_ROWS  # a table of more rows is split with a helper
 
 
 def reference_csv(path, header, columns, rows):
@@ -143,10 +143,10 @@ class TestEmissionMatchesCsvWriter:
         # a block's float columns, from all four tables and each shared one
         # once, are printed by one kernel call: the trajectory tables' 9
         # distinct columns, and in the first block the timeline's 7 too
-        monkeypatch.setattr(harness, "_can_offload", lambda: False)
-        real = harness._float_cells
+        monkeypatch.setattr(csvio, "_can_offload", lambda: False)
+        real = csvio._float_cells
         calls = []
-        monkeypatch.setattr(harness, "_float_cells",
+        monkeypatch.setattr(csvio, "_float_cells",
                             lambda x: calls.append(len(x)) or real(x))
         report = windowed_report(30, 3 * BLOCK + 1)
         emit_outputs(report, tmp_path / "out")
@@ -199,14 +199,14 @@ def make_formatter_fail(monkeypatch, in_child,
     """Make the writer's float formatter raise ``error`` in the forked child
     only, or in this process only."""
     parent = os.getpid()
-    real = harness._float_cells
+    real = csvio._float_cells
 
     def bad_float_cells(x):
         if (os.getpid() != parent) == in_child:
             raise error
         return real(x)
 
-    monkeypatch.setattr(harness, "_float_cells", bad_float_cells)
+    monkeypatch.setattr(csvio, "_float_cells", bad_float_cells)
 
 
 TABLES = {"leader.csv", "follower.csv", "overlay.csv", "estimate_timeline.csv"}
@@ -245,7 +245,7 @@ class TestSplitWriter:
         report = random_report(6145, 6142)
         emit_outputs(report, tmp_path / "split")
         if no_split == "one_cpu":
-            monkeypatch.setattr(harness, "_can_offload", lambda: False)
+            monkeypatch.setattr(csvio, "_can_offload", lambda: False)
         elif no_split == "no_fork":
             monkeypatch.delattr(os, "fork")
         else:
@@ -267,7 +267,7 @@ class TestSplitWriter:
         # the timeline is written with the trajectory tables, by one call
         # that forks once however many of them have more rows than the split
         if one_process:
-            monkeypatch.setattr(harness, "_can_offload", lambda: False)
+            monkeypatch.setattr(csvio, "_can_offload", lambda: False)
         report = windowed_report(windows, 4 * small_split + 3)
         emit_outputs(report, tmp_path / "out")
         assert len(forks) == (not one_process)
@@ -306,7 +306,7 @@ class TestSplitWriter:
         # the cause of a failed write reaches the exit-4 message from either
         # process
         if one_process:
-            monkeypatch.setattr(harness, "_can_offload", lambda: False)
+            monkeypatch.setattr(csvio, "_can_offload", lambda: False)
         make_formatter_fail(monkeypatch, in_child=not one_process,
                             error=OSError(28, "No space left on device"))
         cfg = tmp_path / "fast.cfg"
@@ -328,7 +328,7 @@ class TestSplitWriter:
 
         monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
         column = np.arange(3 * SPLIT, dtype=float) / 7
-        harness.write_csv_columns([(tmp_path / "x.csv", ["x"], [column])])
+        csvio.write_csv_columns([(tmp_path / "x.csv", ["x"], [column])])
         assert len(forks) == 1
         reference_csv(tmp_path / "ref.csv", ["x"], [column], len(column))
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -350,8 +350,8 @@ class TestSplitWriter:
 
 
 def cell_text(values):
-    """What `harness._float_cells` writes for each value, as text."""
-    cells = harness._float_cells(np.asarray(values, dtype=np.float64))
+    """What `csvio._float_cells` writes for each value, as text."""
+    cells = csvio._float_cells(np.asarray(values, dtype=np.float64))
     rows = cells.view(np.uint8).reshape(-1, 48)
     # byte 47 holds the comma that follows a cell
     assert (rows[:, 47] == ord(",")).all()
@@ -428,7 +428,7 @@ class TestFloatCells:
     def test_zeros_and_fallbacks(self, monkeypatch):
         # 0.0 and -0.0 are printed by the kernel, the rest by repr
         calls = []
-        monkeypatch.setattr(harness, "repr", lambda v: calls.append(v) or repr(v),
+        monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
                             raising=False)
         fallbacks = [np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16]
         assert cell_text([0.0, -0.0, *fallbacks, 0.5, -4.0, 1.5]) == [
@@ -439,7 +439,7 @@ class TestFloatCells:
     @pytest.mark.parametrize("rows", [0, 1])
     def test_empty_and_one_row(self, tmp_path, rows):
         columns = [np.full(rows, -0.125), np.arange(rows), np.full(rows, 1e300)]
-        harness.write_csv_columns([(tmp_path / "x.csv", ["a", "b", "c"], columns)])
+        csvio.write_csv_columns([(tmp_path / "x.csv", ["a", "b", "c"], columns)])
         reference = "a,b,c\r\n" + "-0.125,0,1e+300\r\n" * rows
         assert (tmp_path / "x.csv").read_bytes() == reference.encode()
 
@@ -448,7 +448,7 @@ class TestFloatCells:
         ints = np.array([0, 1, -1, 7, 2**62, -2**63, 123456789], dtype=np.int64)
         columns = [ints, ints.astype(np.int8), np.resize([True, False], 7),
                    ints.astype(float)]
-        harness.write_csv_columns([(tmp_path / "x.csv", list("abcd"), columns)])
+        csvio.write_csv_columns([(tmp_path / "x.csv", list("abcd"), columns)])
         reference = "a,b,c,d\r\n" + "".join(
             f"{a},{b},{int(c)},{float(d)!r}\r\n"
             for a, b, c, d in zip(*(col.tolist() for col in columns)))
@@ -476,7 +476,7 @@ class TestKernelShare:
     def test_at_most_one_percent_to_repr(self, tmp_path, monkeypatch, scenario):
         report = run_closed_loop(scenario())
         calls = []
-        monkeypatch.setattr(harness, "repr", lambda v: calls.append(v) or repr(v),
+        monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
                             raising=False)
         emit_outputs(report, tmp_path / "out")
         lead, f = report.leader, report.follower
@@ -687,7 +687,7 @@ class TestReaderCases:
         text = "demand,time,accel\r\n" + "".join(
             f"{u!r},{i * 0.01!r},{a!r}\r\n" for i, (u, _, a) in enumerate(data.tolist()))
         write_text(path, text)
-        got = harness.read_csv_columns(path, LOG)
+        got = csvio.read_csv_columns(path, LOG)
         assert got.tobytes() == reference_rows(text, LOG)[1].tobytes()
 
     def test_peak_memory(self, long_leader_csv):
@@ -707,9 +707,9 @@ class TestReaderCases:
         # nearly every "%.17g" cell is certified by the parser: a reader
         # that sent every cell to float() would match every bit test
         calls = []
-        monkeypatch.setattr(harness, "float", lambda v: calls.append(v) or float(v),
+        monkeypatch.setattr(csvio, "float", lambda v: calls.append(v) or float(v),
                             raising=False)
-        got = harness.read_csv_columns(long_leader_csv, LEADER)
+        got = csvio.read_csv_columns(long_leader_csv, LEADER)
         assert len(calls) <= 0.001 * got.size
         text = long_leader_csv.read_text()
         assert got.tobytes() == reference_rows(text, LEADER)[1].tobytes()
@@ -738,14 +738,14 @@ def no_row_loop(monkeypatch):
         def reader(*args, **kwargs):
             raise AssertionError("the row loop read the file")
 
-    monkeypatch.setattr(harness, "csv", NoCsv)
+    monkeypatch.setattr(csvio, "csv", NoCsv)
 
 
 def assert_reads_as_float(path, cells, end="\n"):
     """A file of one column ``x`` holding ``cells`` reads back as
     ``float(cell)``, bit for bit."""
     path.write_bytes(end.join(["x", *cells, ""]).encode())
-    got = harness.read_csv_columns(path, ["x"])[:, 0]
+    got = csvio.read_csv_columns(path, ["x"])[:, 0]
     want = np.array([float(c) for c in cells])
     bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
     assert not len(bad), [(cells[i], got[i], want[i]) for i in bad[:10]]
@@ -785,11 +785,11 @@ class TestReaderExact:
         cells = ["9007199254740993", "9007199254740991.5", "-9007199254740993",
                  "9007199254740995", "4503599627370495.75"]
         calls = []
-        monkeypatch.setattr(harness, "float", lambda v: calls.append(v) or float(v),
+        monkeypatch.setattr(csvio, "float", lambda v: calls.append(v) or float(v),
                             raising=False)
         assert_reads_as_float(tmp_path / "x.csv", cells)
         assert [c.decode() for c in calls] == cells
-        assert harness.read_csv_columns(tmp_path / "x.csv", ["x"])[:2, 0].tolist() == [
+        assert csvio.read_csv_columns(tmp_path / "x.csv", ["x"])[:2, 0].tolist() == [
             9007199254740992.0, 9007199254740992.0]
 
     def test_long_mantissas(self, tmp_path, no_row_loop):
@@ -810,17 +810,17 @@ class TestReaderExact:
                  "0.0000000000000000000001", "0.000000000000000000001",
                  "0.0000123456789012345678", "-0.0000123456789012345678"]
         assert_reads_as_float(tmp_path / "x.csv", cells)
-        got = harness.read_csv_columns(tmp_path / "x.csv", ["x"])[:, 0]
+        got = csvio.read_csv_columns(tmp_path / "x.csv", ["x"])[:, 0]
         assert got[:2].tolist() == [0.0089, 0.0012]
         assert np.signbit(got[3:5]).all()
 
-    @pytest.mark.parametrize("chunk", [16, 100, harness._READ_CHUNK])
+    @pytest.mark.parametrize("chunk", [16, 100, csvio._READ_CHUNK])
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("final_end", [True, False])
     def test_rows_across_chunks(self, tmp_path, monkeypatch, no_row_loop, chunk,
                                 end, final_end):
         # lines longer than a chunk, and lines split across chunk borders
-        monkeypatch.setattr(harness, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(csvio, "_READ_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         values = rng.standard_normal((4000, 4)) * 10.0 ** rng.integers(-3, 6, (4000, 4))
         spell = rng.choice(["%r", "%.17g", "%.15g", "%.6f"], values.shape)
@@ -830,7 +830,7 @@ class TestReaderExact:
         text = end.join(lines) + (end if final_end else "")
         path = tmp_path / "log.csv"
         write_text(path, text)
-        got = harness.read_csv_columns(path, LOG)
+        got = csvio.read_csv_columns(path, LOG)
         assert got.tobytes() == reference_rows(text, LOG)[1].tobytes()
 
     @given(cells=st.lists(st.tuples(st.sampled_from(["", "-", "+"]),

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfmonitor import harness, plant
+from cfmonitor import csvio, harness, plant
 from cfmonitor.cli import main
 from cfmonitor.estimator import SgldHyper
 from cfmonitor.harness import (
@@ -402,7 +402,7 @@ class TestSimulateForkedWriter:
                   (tmp_path / "forked" / "estimates.jsonl").read_text().splitlines()]
         assert [count > 0 for count in counts] == [False, True, False, True, True, True]
         if one_process == "one_cpu":
-            monkeypatch.setattr(harness, "_can_offload", lambda: False)
+            monkeypatch.setattr(csvio, "_can_offload", lambda: False)
         elif one_process == "no_fork":
             monkeypatch.delattr(os, "fork")
         else:
@@ -419,14 +419,14 @@ class TestSimulateForkedWriter:
         cfg = config("sgld.K_iters = 1100\n")
         # the writer's child fails after every chain has run
         parent = os.getpid()
-        real_format_blocks = harness._format_blocks
+        real_format_blocks = csvio._format_blocks
 
         def format_blocks(*args):
             if os.getpid() != parent:
                 raise RuntimeError("formatting failed")
             return real_format_blocks(*args)
 
-        monkeypatch.setattr(harness, "_format_blocks", format_blocks)
+        monkeypatch.setattr(csvio, "_format_blocks", format_blocks)
         code, err = self.simulate(cfg, tmp_path / "out")
         assert code == 4
         assert err.startswith("I/O error: failed writing outputs under")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cfmonitor import harness
+from cfmonitor import csvio
 from cfmonitor.cli import main
 from cfmonitor.plant import ControllerConfig
 from cfmonitor.stability import (
@@ -385,7 +385,7 @@ class TestRegionCsv:
                                     one_process):
         # 41 x 31 cells, more rows than the lowered split, so it forks
         if one_process:
-            monkeypatch.setattr(harness, "_can_offload", lambda: False)
+            monkeypatch.setattr(csvio, "_can_offload", lambda: False)
         out = tmp_path / "region.csv"
         assert main(["stability", "--sweep", "k_s", "tau_star", "--range",
                      "0:5:41", "0:3:31", "--out", str(out)]) == 0
