@@ -1,4 +1,4 @@
-"""Fixtures for the forked helper of `cfmonitor.harness`, the float-table
+"""Fixtures for the forked helper of `cfmonitor.csvio`, the float-table
 writer's formatter: a count of its forks, and a lower split for small
 tables.  Also the ``thorough`` hypothesis profile, for ``--hypothesis-profile
 thorough``: many more examples for the property tests that leave their

@@ -428,8 +428,8 @@ class TestFloatCells:
     def test_zeros_and_fallbacks(self, monkeypatch):
         # 0.0 and -0.0 are printed by the kernel, the rest by repr
         calls = []
-        monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
-                            raising=False)
+        monkeypatch.setitem(csvio._float_cells.__globals__, "repr",
+                            lambda v: calls.append(v) or repr(v))
         fallbacks = [np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16]
         assert cell_text([0.0, -0.0, *fallbacks, 0.5, -4.0, 1.5]) == [
             "0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e-05", "1e+16", "0.5",
@@ -476,8 +476,8 @@ class TestKernelShare:
     def test_at_most_one_percent_to_repr(self, tmp_path, monkeypatch, scenario):
         report = run_closed_loop(scenario())
         calls = []
-        monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
-                            raising=False)
+        monkeypatch.setitem(csvio._float_cells.__globals__, "repr",
+                            lambda v: calls.append(v) or repr(v))
         emit_outputs(report, tmp_path / "out")
         lead, f = report.leader, report.follower
         # the distinct float columns: the follower's time is the leader's
@@ -707,8 +707,8 @@ class TestReaderCases:
         # nearly every "%.17g" cell is certified by the parser: a reader
         # that sent every cell to float() would match every bit test
         calls = []
-        monkeypatch.setattr(csvio, "float", lambda v: calls.append(v) or float(v),
-                            raising=False)
+        monkeypatch.setitem(csvio._plain_rows.__globals__, "float",
+                            lambda v: calls.append(v) or float(v))
         got = csvio.read_csv_columns(long_leader_csv, LEADER)
         assert len(calls) <= 0.001 * got.size
         text = long_leader_csv.read_text()
@@ -785,8 +785,8 @@ class TestReaderExact:
         cells = ["9007199254740993", "9007199254740991.5", "-9007199254740993",
                  "9007199254740995", "4503599627370495.75"]
         calls = []
-        monkeypatch.setattr(csvio, "float", lambda v: calls.append(v) or float(v),
-                            raising=False)
+        monkeypatch.setitem(csvio._plain_rows.__globals__, "float",
+                            lambda v: calls.append(v) or float(v))
         assert_reads_as_float(tmp_path / "x.csv", cells)
         assert [c.decode() for c in calls] == cells
         assert csvio.read_csv_columns(tmp_path / "x.csv", ["x"])[:2, 0].tolist() == [
