@@ -255,6 +255,9 @@ def run_closed_loop(scenario: ScenarioConfig) -> RunReport:
     win_steps = int(round(scenario.window_length / cfg.t_s))
     n = len(leader)
     n_windows = (n - 1) // win_steps
+    if n_windows == 0:  # the monitor would never run
+        raise ValueError(f"window.length = {scenario.window_length:g} s is longer "
+                         f"than the leader's {leader.time[-1] - leader.time[0]:g} s")
 
     # the follower's columns, in SimulationResult's order, filled window by
     # window up to `filled`

@@ -594,6 +594,19 @@ class TestCliSimulate:
         assert main(["simulate", "--window", window,
                      "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("override", [["--window", "100"], "window.length = 100\n"],
+                             ids=["option", "config"])
+    def test_window_longer_than_leader_is_config_error(self, tmp_path, capsys,
+                                                       override):
+        # it used to run with no window, and exit 0
+        if isinstance(override, str):
+            (tmp_path / "scenario.cfg").write_text(override)
+            override = ["--config", str(tmp_path / "scenario.cfg")]
+        assert main(["simulate", *override, "--out", str(tmp_path / "run")]) == 2
+        assert ("window.length = 100 s is longer than the leader's 60 s"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text", ["maybe", "2"])
     def test_bad_enabled_flag_is_config_error(self, tmp_path, text):
         cfg = tmp_path / "scenario.cfg"
@@ -893,6 +906,7 @@ IN_RUN_ERRORS = (
     "non-uniform sampling",
     "but controller.t_s is",  # a leader sampled at another step
     "smoothing kernel",
+    "is longer than the leader's",  # a window.length with no window in the run
 )
 # keys that set how much work a run does draw from bounded values, so one
 # fuzzed run takes tens of milliseconds; the rest draw CONFIG_VALUES

@@ -265,6 +265,13 @@ class TestRunClosedLoop:
         with pytest.raises(ValueError, match="Euler"):
             run_closed_loop(short_scenario(schedule=schedule))
 
+    def test_window_longer_than_leader_rejected_before_running(self):
+        # a run with no window would never reach the monitor
+        with pytest.raises(ValueError, match="window.length = 10 s is longer than "
+                                             "the leader's 8 s"):
+            run_closed_loop(short_scenario(window_length=10.0))
+        assert len(run_closed_loop(short_scenario(window_length=8.0)).windows) == 1
+
     def test_window_accounting(self):
         report = run_closed_loop(short_scenario(duration=9.0))
         # floor(9 s / 2 s) full windows, every sample in exactly one piece
