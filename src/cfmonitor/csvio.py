@@ -41,7 +41,8 @@ def read_csv_columns(path, columns) -> np.ndarray:
     ``float()`` accepts each named cell as `csv.reader` splits it and the
     value is finite; other cells are ignored.  Raises ValueError for an
     empty file, missing columns, or the first malformed or non-finite row,
-    by its number in the file.
+    by its number in the file.  The text is UTF-8; a byte-order mark
+    before the header is skipped.
     A file of plain decimal cells is parsed by `_plain_columns`; any other
     file, or one in which it finds a fault, by the row loop, which decides
     and names the row."""
@@ -49,7 +50,7 @@ def read_csv_columns(path, columns) -> np.ndarray:
         data = _plain_columns(fh.read(), columns)
     if data is not None:
         return data
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -672,6 +672,27 @@ class TestReaderCases:
         with pytest.raises(ValueError, match=r"malformed row 3$"):
             load_leader(path)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # a UTF-8 byte-order mark used to hide the first column's name
+        save_trajectory(synthetic_leader(harness.default_leader_spec()),
+                        tmp_path / "leader.csv")
+        rng = np.random.default_rng(5)
+        write_text(tmp_path / "log.csv", "time,accel,demand\n" + "".join(
+            f"{i * 0.01!r},{a!r},{u!r}\n"
+            for i, (a, u) in enumerate(rng.standard_normal((300, 2)).tolist())))
+        for name in ("leader", "log"):
+            (tmp_path / f"bom_{name}.csv").write_bytes(
+                b"\xef\xbb\xbf" + (tmp_path / f"{name}.csv").read_bytes())
+        plain, bom = (load_leader(tmp_path / f"{name}.csv")
+                      for name in ("leader", "bom_leader"))
+        for name in LEADER:
+            assert getattr(bom, name).tobytes() == getattr(plain, name).tobytes()
+        (tmp_path / "fast.cfg").write_text("sgld.K_iters = 50\n")
+        for name in ("log", "bom_log"):
+            assert main(["estimate", str(tmp_path / f"{name}.csv"), "--config",
+                         str(tmp_path / "fast.cfg"), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "bom_log").read_bytes() == (tmp_path / "log").read_bytes()
+
     def test_quoted_field_spanning_lines(self, tmp_path):
         # one csv record over two physical lines, each of which parses alone
         path = tmp_path / "leader.csv"
