@@ -507,7 +507,8 @@ def write_csv_columns(tables) -> None:
     counterpart of `read_csv_columns`.
 
     ``tables`` holds ``(path, header, columns)``; a file has as many rows
-    as its shortest column.  Floats are printed by `_float_cells`, which
+    as its shortest column.  A column passed as the same array object in
+    several tables is formatted once.  Floats are printed by `_float_cells`, which
     leaves few to ``repr``.  When `_can_offload` and the longest file has
     more rows than `_SPLIT_ROWS`, one forked child formats every file's rows
     from the longest's middle row on into anonymous temporary files, each in
